@@ -12,7 +12,8 @@ use std::path::PathBuf;
 use std::sync::mpsc::{channel, Sender};
 
 use osp_core::prelude::Engine;
-use osp_server::protocol::{Op, Reply, Request, Response};
+use osp_server::codec;
+use osp_server::protocol::{Op, Reply, Response};
 use osp_server::wal::FaultPlan;
 use osp_server::{PoolConfig, ShardPool, DEFAULT_QUEUE_CAP, DEFAULT_SHARDS};
 
@@ -120,8 +121,9 @@ fn drive<R: BufRead, W: Write + Send + 'static>(
     let (tx, rx) = channel::<Response>();
     let writer = std::thread::spawn(move || {
         let mut output = output;
+        let mut line = Vec::new();
         for response in rx {
-            if write_line(&mut output, &response).is_err() {
+            if write_line(&mut output, &mut line, &response).is_err() {
                 // Reader hung up; keep draining so shards never block
                 // on a dead reply channel.
             }
@@ -133,14 +135,32 @@ fn drive<R: BufRead, W: Write + Send + 'static>(
     (shutdown_id, writer)
 }
 
-fn pump<R: BufRead>(pool: &ShardPool, input: R, tx: &Sender<Response>) -> Option<u64> {
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+/// Reads request lines as bytes until EOF or `shutdown`. A line that is
+/// not UTF-8 or not a valid request is answered with `bad_request`
+/// under id 0 and the session goes on.
+fn pump<R: BufRead>(pool: &ShardPool, mut input: R, tx: &Sender<Response>) -> Option<u64> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match input.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return None,
+            Ok(_) => {}
+        }
+        let text = match std::str::from_utf8(&line) {
+            Ok(text) => text.trim(),
+            Err(e) => {
+                let _ = tx.send(Response::error(
+                    0,
+                    "bad_request",
+                    format!("invalid UTF-8: {e}"),
+                ));
+                continue;
+            }
+        };
+        if text.is_empty() {
             continue;
         }
-        let request: Request = match serde_json::from_str(trimmed) {
+        let request = match codec::decode_request(text) {
             Ok(request) => request,
             Err(e) => {
                 let _ = tx.send(Response::error(0, "bad_request", e));
@@ -152,14 +172,18 @@ fn pump<R: BufRead>(pool: &ShardPool, input: R, tx: &Sender<Response>) -> Option
         }
         pool.submit(request, tx);
     }
-    None
 }
 
-fn write_line<W: Write>(output: &mut W, response: &Response) -> std::io::Result<()> {
-    let line = serde_json::to_string(response)
+/// Writes one response line through the reusable `line` buffer.
+fn write_line<W: Write>(
+    output: &mut W,
+    line: &mut Vec<u8>,
+    response: &Response,
+) -> std::io::Result<()> {
+    line.clear();
+    codec::encode_response(line, response)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    output.write_all(line.as_bytes())?;
-    output.write_all(b"\n")?;
+    output.write_all(line)?;
     output.flush()
 }
 
@@ -174,7 +198,7 @@ fn serve_pipe(config: &ServeConfig) -> Result<(), String> {
         id: shutdown_id.unwrap_or(0),
         reply: Reply::Bye { shards },
     };
-    let _ = write_line(&mut output, &bye);
+    let _ = write_line(&mut output, &mut Vec::new(), &bye);
     Ok(())
 }
 
@@ -203,6 +227,7 @@ fn serve_socket(config: &ServeConfig, path: &str) -> Result<(), String> {
             let mut output = writer.join().expect("writer thread exited cleanly");
             let _ = write_line(
                 &mut output,
+                &mut Vec::new(),
                 &Response {
                     id,
                     reply: Reply::Bye { shards },

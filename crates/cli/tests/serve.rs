@@ -167,7 +167,9 @@ fn malformed_lines_get_bad_request_replies() {
         .stdin
         .as_mut()
         .unwrap()
-        .write_all(b"this is not json\n{\"id\": 3, \"op\": \"stats\"}\n{\"id\": 4, \"op\": \"shutdown\"}\n")
+        .write_all(
+            b"this is not json\n\xff\xfe\n{\"id\": 3, \"op\": \"stats\"}\n{\"id\": 4, \"op\": \"shutdown\"}\n",
+        )
         .unwrap();
     let output = child.wait_with_output().expect("osp serve exits");
     assert!(output.status.success());
@@ -176,14 +178,18 @@ fn malformed_lines_get_bad_request_replies() {
         .lines()
         .map(|l| serde_json::from_str(l).unwrap())
         .collect();
-    assert_eq!(lines.len(), 3);
-    assert!(
-        matches!(&lines[0].reply, Reply::Error { code, .. } if code == "bad_request"),
-        "{:?}",
-        lines[0]
-    );
-    assert!(matches!(&lines[1].reply, Reply::Stats { .. }));
-    assert!(matches!(&lines[2].reply, Reply::Bye { .. }));
+    // The non-UTF-8 line is answered like any other malformed line, and
+    // the session goes on to the real `shutdown`.
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for bad in &lines[..2] {
+        assert!(
+            bad.id == 0 && matches!(&bad.reply, Reply::Error { code, .. } if code == "bad_request"),
+            "{bad:?}"
+        );
+    }
+    assert!(matches!(&lines[2].reply, Reply::Stats { .. }));
+    assert_eq!(lines[3].id, 4);
+    assert!(matches!(&lines[3].reply, Reply::Bye { .. }));
 }
 
 #[test]
@@ -493,16 +499,24 @@ fn unix_socket_serves_and_shuts_down() {
     drop(stream);
     drop(reader);
 
-    // Second connection: the game survived; shut the server down.
+    // Second connection: the game survived, and a non-UTF-8 line does
+    // not drop the connection; shut the server down.
     let stream = UnixStream::connect(&path).expect("reconnect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
     stream
         .write_all(
-            b"{\"id\": 2, \"op\": {\"price\": {\"game\": 5}}}\n{\"id\": 3, \"op\": \"shutdown\"}\n",
+            b"\xff\n{\"id\": 2, \"op\": {\"price\": {\"game\": 5}}}\n{\"id\": 3, \"op\": \"shutdown\"}\n",
         )
         .unwrap();
     let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let bad: Response = serde_json::from_str(&line).unwrap();
+    assert!(
+        matches!(&bad.reply, Reply::Error { code, .. } if code == "bad_request"),
+        "{bad:?}"
+    );
+    line.clear();
     reader.read_line(&mut line).unwrap();
     let price: Response = serde_json::from_str(&line).unwrap();
     assert!(matches!(price.reply, Reply::Price { .. }), "{price:?}");

@@ -8,6 +8,8 @@
 //!   [`protocol::Request`]/[`protocol::Response`] pairs covering
 //!   `create`, `arrive`, `revise`, `expire`, `tick`, `price`,
 //!   `snapshot`, `restore`, `stats`, and `shutdown`.
+//! - [`codec`] — the transports' direct request decoder and reply
+//!   encoder, byte-identical to the serde derives in [`protocol`].
 //! - [`game`] — the per-shard [`game::Registry`] interpreting
 //!   operations against `AddOnState`/`SubstOnState` (the offline
 //!   mechanisms run as horizon-1 online games).
@@ -25,6 +27,7 @@
 //! Transports (stdin/stdout pipe, Unix socket) live in `osp-cli`'s
 //! `serve` subcommand; the load harness lives in `osp-bench`.
 
+pub mod codec;
 pub mod game;
 pub mod protocol;
 pub mod script;

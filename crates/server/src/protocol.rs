@@ -401,8 +401,8 @@ pub fn error_code(err: &MechanismError) -> &'static str {
 /// through this instead.
 #[must_use]
 pub fn money_to_decimal(m: Money) -> Option<String> {
-    let encoded = serde_json::to_string(&m).ok()?;
-    let (num, den): (i128, i128) = serde_json::from_str(&encoded).ok()?;
+    let ratio = m.as_ratio();
+    let (num, den) = (ratio.numer(), ratio.denom());
     // Scale to 18 fractional digits, the most Money's FromStr accepts.
     const SCALE: i128 = 1_000_000_000_000_000_000;
     let scaled = num.checked_mul(SCALE)?;
