@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn back_pressure_is_absorbed_by_retries_not_aborts() {
         let trace = build_trace(&LoadConfig { games: 20, ..SMALL });
-        // Queues of one envelope: nearly every submission bounces off
+        // Queues of one request: nearly every submission bounces off
         // a full queue first. Everything must still be answered, with
         // the bounces absorbed as backoff-retries, not errors.
         let result = replay(&trace.requests, 2, 1);

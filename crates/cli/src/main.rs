@@ -35,7 +35,8 @@ fn usage() -> &'static str {
             [--wal-dir <dir>] [--checkpoint-every <events>]
       Run the sharded multi-game pricing server. Speaks line-delimited
       JSON requests/responses on stdin/stdout, or on a Unix socket with
-      --socket. Defaults: 4 shards, queue cap 1024, incremental engine.
+      --socket. Defaults: 4 shards, queue cap 1024 requests per shard,
+      incremental engine.
       --wal-dir makes the server durable: every state-changing request
       is appended to a per-shard write-ahead log before it is answered,
       and on startup (or after a shard crash) games are recovered from

@@ -6,8 +6,13 @@
 //! different shards interleave; match them up by `id`). `shutdown`
 //! drains every queue, answers everything in flight, and replies with
 //! a final `bye` carrying per-shard statistics.
+//!
+//! The request path batches whatever has already arrived: the reader
+//! hands each shard the requests one read delivered as one batch, and
+//! the writer sends every reply ready at a wake in one write. A lone
+//! request is never held back waiting for more input.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Sender};
 
@@ -16,6 +21,12 @@ use osp_server::codec;
 use osp_server::protocol::{Op, Reply, Response};
 use osp_server::wal::FaultPlan;
 use osp_server::{PoolConfig, ShardPool, DEFAULT_QUEUE_CAP, DEFAULT_SHARDS};
+
+/// Bytes the reader buffers per read.
+const READ_BUFFER: usize = 1 << 16;
+
+/// Reply bytes the writer gathers before it writes.
+const WRITE_BUFFER: usize = 1 << 16;
 
 /// Parsed `osp serve` flags.
 struct ServeConfig {
@@ -113,20 +124,28 @@ pub fn serve(args: &[String], usage: &str) -> Result<(), String> {
 /// Feeds lines from `input` to `pool`, writing responses to `output`
 /// as they arrive. Returns `Some(shutdown_id)` when a `shutdown`
 /// request ends the session, `None` on EOF.
-fn drive<R: BufRead, W: Write + Send + 'static>(
+fn drive<R: Read, W: Write + Send + 'static>(
     pool: &ShardPool,
     input: R,
     output: W,
 ) -> (Option<u64>, std::thread::JoinHandle<W>) {
-    let (tx, rx) = channel::<Response>();
+    let (tx, rx) = channel::<Vec<Response>>();
     let writer = std::thread::spawn(move || {
         let mut output = output;
-        let mut line = Vec::new();
-        for response in rx {
-            if write_line(&mut output, &mut line, &response).is_err() {
-                // Reader hung up; keep draining so shards never block
-                // on a dead reply channel.
+        let mut buf = Vec::with_capacity(WRITE_BUFFER);
+        while let Ok(replies) = rx.recv() {
+            buf.clear();
+            encode_all(&mut buf, &replies);
+            // Everything else already answered goes out in the same write.
+            while buf.len() < WRITE_BUFFER {
+                match rx.try_recv() {
+                    Ok(replies) => encode_all(&mut buf, &replies),
+                    Err(_) => break,
+                }
             }
+            // A reader that hung up makes this fail; keep draining so
+            // shards never block on a dead reply channel.
+            let _ = output.write_all(&buf).and_then(|()| output.flush());
         }
         output
     });
@@ -135,12 +154,28 @@ fn drive<R: BufRead, W: Write + Send + 'static>(
     (shutdown_id, writer)
 }
 
+/// Appends each response as one line; one that fails to encode is
+/// dropped.
+fn encode_all(buf: &mut Vec<u8>, responses: &[Response]) {
+    for response in responses {
+        let _ = codec::encode_response(buf, response);
+    }
+}
+
 /// Reads request lines as bytes until EOF or `shutdown`. A line that is
 /// not UTF-8 or not a valid request is answered with `bad_request`
-/// under id 0 and the session goes on.
-fn pump<R: BufRead>(pool: &ShardPool, mut input: R, tx: &Sender<Response>) -> Option<u64> {
+/// under id 0 and the session goes on. Game-addressed requests are
+/// batched per shard; every pending batch is handed over whenever the
+/// buffer holds no complete line, so the next read may block.
+fn pump<R: Read>(pool: &ShardPool, input: R, tx: &Sender<Vec<Response>>) -> Option<u64> {
+    let mut input = BufReader::with_capacity(READ_BUFFER, input);
+    // Dropped on return, which hands every shard its pending batch.
+    let mut batcher = pool.batcher(tx);
     let mut line = Vec::new();
     loop {
+        if !input.buffer().contains(&b'\n') {
+            batcher.flush();
+        }
         line.clear();
         match input.read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return None,
@@ -149,11 +184,11 @@ fn pump<R: BufRead>(pool: &ShardPool, mut input: R, tx: &Sender<Response>) -> Op
         let text = match std::str::from_utf8(&line) {
             Ok(text) => text.trim(),
             Err(e) => {
-                let _ = tx.send(Response::error(
+                let _ = tx.send(vec![Response::error(
                     0,
                     "bad_request",
                     format!("invalid UTF-8: {e}"),
-                ));
+                )]);
                 continue;
             }
         };
@@ -163,27 +198,22 @@ fn pump<R: BufRead>(pool: &ShardPool, mut input: R, tx: &Sender<Response>) -> Op
         let request = match codec::decode_request(text) {
             Ok(request) => request,
             Err(e) => {
-                let _ = tx.send(Response::error(0, "bad_request", e));
+                let _ = tx.send(vec![Response::error(0, "bad_request", e)]);
                 continue;
             }
         };
         if matches!(request.op, Op::Shutdown) {
             return Some(request.id);
         }
-        pool.submit(request, tx);
+        batcher.push(request);
     }
 }
 
-/// Writes one response line through the reusable `line` buffer.
-fn write_line<W: Write>(
-    output: &mut W,
-    line: &mut Vec<u8>,
-    response: &Response,
-) -> std::io::Result<()> {
-    line.clear();
-    codec::encode_response(line, response)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    output.write_all(line)?;
+/// Writes one response line.
+fn write_line<W: Write>(output: &mut W, response: &Response) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    encode_all(&mut line, std::slice::from_ref(response));
+    output.write_all(&line)?;
     output.flush()
 }
 
@@ -198,7 +228,7 @@ fn serve_pipe(config: &ServeConfig) -> Result<(), String> {
         id: shutdown_id.unwrap_or(0),
         reply: Reply::Bye { shards },
     };
-    let _ = write_line(&mut output, &mut Vec::new(), &bye);
+    let _ = write_line(&mut output, &bye);
     Ok(())
 }
 
@@ -215,11 +245,9 @@ fn serve_socket(config: &ServeConfig, path: &str) -> Result<(), String> {
     // from any client stops the server.
     for stream in listener.incoming() {
         let stream = stream.map_err(|e| format!("accept failed: {e}"))?;
-        let reader = std::io::BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("socket clone failed: {e}"))?,
-        );
+        let reader = stream
+            .try_clone()
+            .map_err(|e| format!("socket clone failed: {e}"))?;
         let active = pool.take().expect("pool is present between connections");
         let (shutdown_id, writer) = drive(&active, reader, stream);
         if let Some(id) = shutdown_id {
@@ -227,7 +255,6 @@ fn serve_socket(config: &ServeConfig, path: &str) -> Result<(), String> {
             let mut output = writer.join().expect("writer thread exited cleanly");
             let _ = write_line(
                 &mut output,
-                &mut Vec::new(),
                 &Response {
                     id,
                     reply: Reply::Bye { shards },

@@ -529,3 +529,99 @@ fn unix_socket_serves_and_shuts_down() {
     assert!(status.success());
     assert!(!path.exists(), "socket file was cleaned up");
 }
+
+/// A shard killed mid-batch over the pipe. The whole trace arrives in
+/// one write, so the server hands its shards real multi-request
+/// batches; shard 0 dies at its 40th logged event. Every request still
+/// gets exactly one reply, the victim's later requests are answered or
+/// refused as `shard_recovering`, the other shard never notices, and
+/// the session ends with `bye`.
+#[test]
+fn pipe_server_survives_a_shard_killed_mid_batch() {
+    use std::collections::HashMap;
+
+    let dir = std::env::temp_dir().join(format!("osp-midbatch-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let requests = script::generate(&ScriptConfig::smoke(30));
+    assert!(requests.len() >= 300, "{} requests", requests.len());
+    let oracle = script::oracle(&requests, Engine::Rebuild, 2);
+    let shutdown_id = requests.len() as u64 + 1;
+
+    let mut child = osp()
+        .args(["serve", "--shards", "2", "--wal-dir", dir.to_str().unwrap()])
+        .env("OSP_FAULT", "kill@40#0")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn osp serve");
+    {
+        let mut feed = String::new();
+        for request in &requests {
+            feed.push_str(&serde_json::to_string(request).unwrap());
+            feed.push('\n');
+        }
+        feed.push_str(&format!("{{\"id\":{shutdown_id},\"op\":\"shutdown\"}}\n"));
+        let stdin = child.stdin.as_mut().expect("piped stdin");
+        stdin.write_all(feed.as_bytes()).expect("feed the trace");
+    }
+    let output = child.wait_with_output().expect("osp serve exits");
+    assert!(
+        output.status.success(),
+        "serve failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let mut responses: Vec<Response> = String::from_utf8(output.stdout)
+        .expect("utf-8 responses")
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("each line parses"))
+        .collect();
+
+    let bye = responses.pop().expect("the bye line");
+    assert_eq!(bye.id, shutdown_id);
+    let Reply::Bye { shards } = bye.reply else {
+        panic!("expected bye, got {bye:?}");
+    };
+    assert_eq!(
+        shards.iter().map(|s| s.recoveries).collect::<Vec<_>>(),
+        [1, 0]
+    );
+
+    let mut by_id: HashMap<u64, Response> = HashMap::new();
+    for response in responses {
+        let id = response.id;
+        assert!(
+            by_id.insert(id, response).is_none(),
+            "request {id} answered twice"
+        );
+    }
+    assert_eq!(by_id.len(), requests.len(), "a request went unanswered");
+
+    let mut crashed = false;
+    for (request, expected) in requests.iter().zip(&oracle.responses) {
+        let served = &by_id[&request.id];
+        let game = request.op.game().expect("the script routes every op");
+        let recovering =
+            matches!(&served.reply, Reply::Error { code, .. } if code == "shard_recovering");
+        if osp_server::shard_of(game, 2) == 0 {
+            // The victim matches the oracle up to the crash; after it,
+            // each request is answered or refused as recovering.
+            crashed |= recovering;
+            if crashed {
+                continue;
+            }
+        } else {
+            assert!(!recovering, "shard 1 was never down: {served:?}");
+        }
+        match (&served.reply, &expected.reply) {
+            (Reply::Snapshot { game, doc }, Reply::Snapshot { game: g2, doc: d2 }) => {
+                assert_eq!(game, g2);
+                assert_eq!(outcome_of(doc), outcome_of(d2), "game {game}");
+            }
+            _ => assert_eq!(served, expected),
+        }
+    }
+    assert!(crashed, "shard 0 never reported shard_recovering");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

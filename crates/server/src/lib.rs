@@ -15,7 +15,9 @@
 //!   mechanisms run as horizon-1 online games).
 //! - [`shard`] — the [`shard::ShardPool`]: worker threads owning
 //!   disjoint game sets, routed by `hash(game_id) % shards`, fed by
-//!   bounded queues with back-pressure and per-shard stats.
+//!   bounded queues with back-pressure and per-shard stats; and the
+//!   [`shard::Batcher`] a transport groups requests into per-shard
+//!   batches with.
 //! - [`script`] — deterministic trace generation and a sequential
 //!   oracle for differential testing and load generation.
 //! - [`wal`] — per-shard write-ahead log + checkpoint durability:
@@ -39,5 +41,7 @@ pub use protocol::{
     by_id, error_code, money_to_decimal, GameId, Mechanism, Op, Reply, Request, Response,
     ShardStat, SnapshotDoc, SNAPSHOT_VERSION,
 };
-pub use shard::{shard_of, PoolConfig, ShardPool, SubmitRetry, DEFAULT_QUEUE_CAP, DEFAULT_SHARDS};
+pub use shard::{
+    shard_of, Batcher, PoolConfig, ShardPool, SubmitRetry, DEFAULT_QUEUE_CAP, DEFAULT_SHARDS,
+};
 pub use wal::{FaultKind, FaultPlan, ShardCheckpoint, WalRecord};

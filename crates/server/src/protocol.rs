@@ -349,15 +349,17 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// loads, one per counter, while the shard keeps working. Each field
 /// is individually accurate at the moment *it* was read, but the
 /// snapshot is **not cross-counter coherent**: under load, `events`
-/// may already include an envelope that `queue_depth` still counts as
+/// may already include a request that `queue_depth` still counts as
 /// queued, or `recoveries` may be bumped while `games` still shows
 /// the pre-crash registry. Do not infer cross-counter invariants from
-/// one snapshot.
+/// one snapshot beyond the one bound below.
 ///
 /// What *is* guaranteed, and what the load harness asserts: `events`
 /// and `recoveries` are monotone non-decreasing across successive
 /// `stats` replies for the same shard, while `games` and
-/// `queue_depth` are instantaneous gauges that move both ways.
+/// `queue_depth` are instantaneous gauges that move both ways. And
+/// `events + queue_depth` never undercounts the requests admitted to
+/// the shard before the `stats` call, though it may count one twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStat {
     /// The shard index.
@@ -366,7 +368,7 @@ pub struct ShardStat {
     pub games: u64,
     /// Events processed by the shard since startup.
     pub events: u64,
-    /// Envelopes currently queued for the shard.
+    /// Requests queued for the shard or being handled by it.
     pub queue_depth: u64,
     /// Times the shard's worker panicked and rebuilt its registry.
     /// While a rebuild is in flight, requests to the shard answer with

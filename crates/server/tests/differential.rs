@@ -16,7 +16,7 @@ use osp_econ::{Money, OptId, UserId};
 use osp_server::game::{decode_snapshot, FinalOutcome, GameState};
 use osp_server::protocol::{Mechanism, Op, Reply, Request, Response, SnapshotDoc};
 use osp_server::script::{self, ScriptConfig};
-use osp_server::ShardPool;
+use osp_server::{ShardPool, ShardStat};
 
 /// Replays `requests` through a fresh pool and returns the responses
 /// in request order (ids are sequential, so sorting by id restores the
@@ -40,6 +40,57 @@ fn run_server(requests: &[Request], shards: usize, queue_cap: usize) -> Vec<Resp
     assert!(stats.iter().all(|s| s.queue_depth == 0));
     responses.sort_by_key(|r| r.id);
     responses
+}
+
+/// Replays `requests` through a fresh pool's [`osp_server::Batcher`],
+/// flushing it every `batch` requests, and returns the responses sorted
+/// by id. A `stats` probe rides in the
+/// middle of the burst; its per-shard counters are returned beside the
+/// number of game requests sent before it.
+fn run_batched(
+    requests: &[Request],
+    shards: usize,
+    queue_cap: usize,
+    batch: usize,
+) -> (Vec<Response>, Vec<ShardStat>, u64) {
+    let probe_id = u64::MAX;
+    let probe_at = requests.len() / 2;
+    let pool = ShardPool::new(shards, queue_cap, Engine::Incremental);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut batcher = pool.batcher(&tx);
+    for (i, request) in requests.iter().enumerate() {
+        if i == probe_at {
+            batcher.push(Request {
+                id: probe_id,
+                op: Op::Stats,
+            });
+        }
+        batcher.push(request.clone());
+        if (i + 1) % batch == 0 {
+            batcher.flush();
+        }
+    }
+    drop(batcher);
+    let stats = pool.shutdown();
+    drop(tx);
+    let mut responses: Vec<Response> = rx.into_iter().flatten().collect();
+    let probe = responses
+        .iter()
+        .position(|r| r.id == probe_id)
+        .expect("the stats probe was answered");
+    let Reply::Stats { shards: probed } = responses.swap_remove(probe).reply else {
+        panic!("the probe got a non-stats reply");
+    };
+    assert_eq!(responses.len(), requests.len(), "a request went unanswered");
+    let routed =
+        |requests: &[Request]| requests.iter().filter(|r| r.op.game().is_some()).count() as u64;
+    assert_eq!(
+        stats.iter().map(|s| s.events).sum::<u64>(),
+        routed(requests)
+    );
+    assert!(stats.iter().all(|s| s.queue_depth == 0));
+    responses.sort_by_key(|r| r.id);
+    (responses, probed, routed(&requests[..probe_at]))
 }
 
 /// Engine-independent meaning of a snapshot: decode it and finish the
@@ -139,6 +190,33 @@ fn trace_interleaves_and_back_pressure_do_not_change_results() {
                 assert_eq!(outcome_of(doc), outcome_of(d2), "game {game}");
             }
             _ => assert_eq!(a, b),
+        }
+    }
+
+    // The batched path a transport takes: one-request batches, batches
+    // of 7, and batches far larger than the queue bound, which enter
+    // only an empty queue.
+    for queue_cap in [1, 4] {
+        let oracle = script::oracle(&requests, Engine::Rebuild, 3);
+        for batch in [1, 7, 64] {
+            let (batched, probed, before) = run_batched(&requests, 3, queue_cap, batch);
+            for (a, b) in batched.iter().zip(&oracle.responses) {
+                match (&a.reply, &b.reply) {
+                    (Reply::Snapshot { game, doc }, Reply::Snapshot { game: g2, doc: d2 }) => {
+                        assert_eq!(game, g2);
+                        assert_eq!(outcome_of(doc), outcome_of(d2), "game {game}");
+                    }
+                    _ => assert_eq!(a, b, "queue_cap {queue_cap}, batch {batch}"),
+                }
+            }
+            // Pending batches are handed over before `stats` is
+            // answered, so every earlier game request is done or
+            // queued when the counters are read.
+            let seen: u64 = probed.iter().map(|s| s.events + s.queue_depth).sum();
+            assert!(
+                seen >= before,
+                "stats saw {seen} of {before} earlier requests (queue_cap {queue_cap}, batch {batch})"
+            );
         }
     }
 }

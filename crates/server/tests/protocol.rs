@@ -485,7 +485,7 @@ fn stats_and_shutdown_ops_answer_inline() {
 fn shutdown_with_non_empty_queues_drains_every_request() {
     // Queues far smaller than the burst, many games, and an immediate
     // shutdown: every already-submitted request must still be answered
-    // (the channel delivers queued envelopes before disconnecting).
+    // (a closed mailbox still hands its worker every queued batch).
     let pool = ShardPool::new(3, 2, Engine::Incremental);
     let (tx, rx) = std::sync::mpsc::channel();
     let mut id = 0;
