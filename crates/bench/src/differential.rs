@@ -2,16 +2,18 @@
 //!
 //! Every fast path added to [`osp_core::addon`] / [`osp_core::subston`]
 //! (the persistent Shapley solver, running residuals, the batched
-//! multi-opt phase loop, the columnar i64 lane scan) diverges further
-//! from the paper-literal code, and unit tests only guard the
-//! divergences someone thought of. This module is the systematic
-//! guard: it generates randomized *long-horizon* games —
+//! multi-opt phase loop, the i64 lane scan, the large-slot pre-sorted
+//! splice) diverges further from the paper-literal code, and unit
+//! tests only guard the divergences someone thought of. This module is
+//! the systematic guard: it generates randomized *long-horizon* games —
 //! arrive/revise/expire/reject interleavings, 1–16 optimizations,
 //! adversarial bid series (zero-value tails, zero-head spikes,
-//! long-lived constants) — and drives each game through **all four**
-//! [`Engine`]s simultaneously, slot by slot (the pipelined engine with
-//! its fork threshold pinned to zero, so the two-thread ingest/price
-//! handoff really runs even on these small games):
+//! long-lived constants) — and drives each game through the production
+//! engine and the [`Engine::Rebuild`] oracle simultaneously, slot by
+//! slot (AddOn games also run two production states with the splice
+//! pinned on for every slot, so the pre-sorted splice runs on these
+//! small, mostly on-grid games both through the two-thread
+//! ingest/price handoff and in order on the caller):
 //!
 //! * every client operation (submit / revise) must succeed on every
 //!   engine or fail on every engine with the *same* typed error;
@@ -33,48 +35,55 @@ use rand::{Rng, SeedableRng};
 use osp_core::prelude::*;
 use osp_workload::source::Trace;
 
-/// The engine roster every differential game drives in lockstep: the
-/// scalar incremental solver, the paper-literal rebuild oracle, the
-/// columnar i64-lane fast path, and the staged slot pipeline.
-pub const ENGINES: [Engine; 4] = [
-    Engine::Incremental,
-    Engine::Rebuild,
-    Engine::Columnar,
-    Engine::Pipelined,
+/// The lockstep roster, as `(label, engine, splice gate override,
+/// sequential splice)`: the production engine on its default policy,
+/// the paper-literal rebuild oracle, and — AddOn only — the production
+/// engine with its splice gate pinned to zero, so on-grid games and
+/// games far below the fork threshold still take the pre-sorted splice
+/// every slot, once through the two-thread handoff and once pricing
+/// then ingesting on the caller. SubstOn games run the first two.
+pub const ROSTER: [(&str, Engine, Option<usize>, bool); 4] = [
+    ("production", Engine::Incremental, None, false),
+    ("rebuild", Engine::Rebuild, None, false),
+    ("production-forced", Engine::Incremental, Some(0), false),
+    ("production-sequential", Engine::Incremental, Some(0), true),
 ];
 
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Incremental => "incremental",
-        Engine::Rebuild => "rebuild",
-        Engine::Columnar => "columnar",
-        Engine::Pipelined => "pipelined",
-    }
+/// The SubstOn roster: the production and rebuild entries of
+/// [`ROSTER`].
+const SUBSTON_LANES: usize = 2;
+
+/// One AddOn state per [`ROSTER`] entry.
+fn addon_states(cost: Money, horizon: u32) -> Result<Vec<AddOnState>, String> {
+    ROSTER
+        .iter()
+        .map(|&(_, engine, fork_min, sequential)| {
+            let mut state = AddOnState::with_engine(cost, horizon, engine)?;
+            state.set_fork_min(fork_min);
+            state.set_sequential_splice(sequential);
+            Ok(state)
+        })
+        .collect::<Result<Vec<_>, MechanismError>>()
+        .map_err(|e| format!("constructor failed: {e}"))
 }
 
-/// Pins the pipelined state's fork threshold to zero so the
-/// differential games — far smaller than the natural threshold —
-/// exercise the real two-thread ingest/price handoff, not just the
-/// sequential fallback. (`states` is indexed like [`ENGINES`].)
-fn force_pipeline_fork_addon(states: &mut [AddOnState]) {
-    for (state, &engine) in states.iter_mut().zip(ENGINES.iter()) {
-        if engine.pipelined() {
-            state.set_fork_min(Some(0));
-        }
-    }
+/// One SubstOn state per SubstOn roster entry.
+fn subston_states(
+    costs: &[Money],
+    horizon: u32,
+    tiebreak: TieBreak,
+) -> Result<Vec<SubstOnState>, String> {
+    ROSTER[..SUBSTON_LANES]
+        .iter()
+        .map(|&(_, engine, _, _)| {
+            SubstOnState::with_engine(costs.to_vec(), horizon, tiebreak, engine)
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("constructor failed: {e}"))
 }
 
-/// [`force_pipeline_fork_addon`] for the SubstOn roster.
-fn force_pipeline_fork_subston(states: &mut [SubstOnState]) {
-    for (state, &engine) in states.iter_mut().zip(ENGINES.iter()) {
-        if engine.pipelined() {
-            state.set_fork_min(Some(0));
-        }
-    }
-}
-
-/// `Err` describing the first divergence when the per-engine `results`
-/// (indexed like [`ENGINES`]) are not all identical.
+/// `Err` describing the first divergence when the per-lane `results`
+/// (indexed like [`ROSTER`]) are not all identical.
 fn check_agree<T: PartialEq + std::fmt::Debug>(
     context: &str,
     slot: u32,
@@ -84,10 +93,7 @@ fn check_agree<T: PartialEq + std::fmt::Debug>(
         if *r != results[0] {
             return Err(format!(
                 "engines diverged at slot {slot} on {context}:\n  {}: {:?}\n  {}: {:?}",
-                engine_label(ENGINES[0]),
-                results[0],
-                engine_label(ENGINES[i]),
-                r
+                ROSTER[0].0, results[0], ROSTER[i].0, r
             ));
         }
     }
@@ -191,12 +197,7 @@ fn adversarial_values(rng: &mut StdRng, len: usize, max_cents: i64) -> (Vec<Mone
 pub fn addon_differential(cfg: &AddOnDiffConfig) -> Result<(AddOnOutcome, OpMix), String> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cost = Money::from_cents(cfg.cost_cents.max(1));
-    let mut states = ENGINES
-        .iter()
-        .map(|&engine| AddOnState::with_engine(cost, cfg.horizon, engine))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("constructor failed: {e}"))?;
-    force_pipeline_fork_addon(&mut states);
+    let mut states = addon_states(cost, cfg.horizon)?;
 
     let mut mix = OpMix::default();
     let mut next_user = 0u32;
@@ -335,12 +336,7 @@ pub fn subston_differential(cfg: &SubstOnDiffConfig) -> Result<(SubstOnOutcome, 
     let costs: Vec<Money> = (0..cfg.num_opts)
         .map(|_| Money::from_cents(rng.gen_range(1..=2 * cfg.mean_cost_cents)))
         .collect();
-    let mut states = ENGINES
-        .iter()
-        .map(|&engine| SubstOnState::with_engine(costs.clone(), cfg.horizon, cfg.tiebreak, engine))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("constructor failed: {e}"))?;
-    force_pipeline_fork_subston(&mut states);
+    let mut states = subston_states(&costs, cfg.horizon, cfg.tiebreak)?;
 
     let mut mix = OpMix::default();
     let mut next_user = 0u32;
@@ -423,14 +419,14 @@ pub fn subston_differential(cfg: &SubstOnDiffConfig) -> Result<(SubstOnOutcome, 
     Ok((out, mix))
 }
 
-/// Replays one registered-workload trace through **every** engine
+/// Replays one registered-workload trace through the whole roster
 /// slot by slot — the registry-wide differential gate. Unlike the
 /// randomized scripts above, the event stream comes verbatim from a
 /// [`osp_workload::TraceSource`], so every registered workload (the
 /// synthetic shapes *and* the cloudsim/astro adapters) gets oracle
 /// coverage automatically — including the off-grid value shapes
-/// (`longlived_z120`'s `split_evenly` values) that force the columnar
-/// engine onto its per-entry exact fallback. Scripted operations must
+/// (`longlived_z120`'s `split_evenly` values) that force the solver
+/// onto its per-entry exact fallback. Scripted operations must
 /// succeed on every engine (registered sources produce fully-accepted
 /// traces); slot reports, outcomes, ledger totals, and the audit must
 /// agree.
@@ -440,12 +436,7 @@ pub fn trace_differential(trace: &Trace, tiebreak: TieBreak) -> Result<(), Strin
             scenario,
             revisions,
         } => {
-            let mut states = ENGINES
-                .iter()
-                .map(|&engine| AddOnState::with_engine(scenario.cost, scenario.horizon, engine))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("constructor failed: {e}"))?;
-            force_pipeline_fork_addon(&mut states);
+            let mut states = addon_states(scenario.cost, scenario.horizon)?;
             let mut arrivals = scenario.users.iter().peekable();
             let mut revs = revisions.iter().peekable();
             for now in 1..=scenario.horizon {
@@ -493,19 +484,7 @@ pub fn trace_differential(trace: &Trace, tiebreak: TieBreak) -> Result<(), Strin
             audit::check_addon_outcome(&outcomes[0]).map_err(|e| format!("audit failed: {e}"))
         }
         Trace::Subst { scenario } => {
-            let mut states = ENGINES
-                .iter()
-                .map(|&engine| {
-                    SubstOnState::with_engine(
-                        scenario.costs.clone(),
-                        scenario.horizon,
-                        tiebreak,
-                        engine,
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("constructor failed: {e}"))?;
-            force_pipeline_fork_subston(&mut states);
+            let mut states = subston_states(&scenario.costs, scenario.horizon, tiebreak)?;
             let mut arrivals = scenario.users.iter().peekable();
             for now in 1..=scenario.horizon {
                 while let Some(spec) = arrivals.next_if(|u| u.series.start().index() <= now) {
@@ -558,7 +537,7 @@ mod tests {
     #[test]
     fn every_registered_workload_passes_a_16_game_differential_smoke() {
         // The PR-gate floor from the registry contract: ≥ 16 games per
-        // registered source through incremental-vs-rebuild-vs-columnar
+        // registered source through the production engine vs rebuild
         // (the proptest wrapper in tests/differential.rs piles hundreds
         // more on top).
         for source in registry() {

@@ -1,11 +1,9 @@
 //! End-to-end throughput measurement for the online mechanisms.
 //!
 //! [`run`] measures **every** source in the
-//! [`osp_workload::source::registry`] under the incremental and
-//! rebuild Shapley engines (plus the columnar lane and pipelined
-//! engines on the hot-loop workloads that opt in via
-//! `TraceSource::bench_columnar`, and the Regret baseline where a
-//! source opts in), and reports
+//! [`osp_workload::source::registry`] under the production
+//! (`incremental`) and rebuild Shapley engines (plus the Regret
+//! baseline where a source opts in), and reports
 //! **user-slot events per second**. Workload axis values in the record
 //! are registry names — adding a source to the registry adds its rows
 //! to `BENCH_mechanisms.json` with no change here. Per-source knobs
@@ -120,8 +118,6 @@ fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::Incremental => "incremental",
         Engine::Rebuild => "rebuild",
-        Engine::Columnar => "columnar",
-        Engine::Pipelined => "pipelined",
     }
 }
 
@@ -159,22 +155,8 @@ pub fn run(quick: bool) -> PerfReport {
             let trace = source.sample(m, SEED);
             let slots = trace.horizon();
             let mechanism = trace.mechanism();
-            for engine in [
-                Engine::Incremental,
-                Engine::Rebuild,
-                Engine::Columnar,
-                Engine::Pipelined,
-            ] {
+            for engine in [Engine::Incremental, Engine::Rebuild] {
                 if engine == Engine::Rebuild && m > source.rebuild_cap(quick) {
-                    continue;
-                }
-                // The pipelined engine shares the columnar opt-in: both
-                // only pay off on the hot-loop workloads, and gating
-                // them together keeps the pipelined/columnar ratio
-                // measurable on every workload that records either.
-                if matches!(engine, Engine::Columnar | Engine::Pipelined)
-                    && !source.bench_columnar()
-                {
                     continue;
                 }
                 let (iters, elapsed) = measure(
@@ -434,18 +416,17 @@ impl CheckReport {
 /// baseline lacks are reported as new, not failed — a PR adding a
 /// workload stays green until the refreshed baseline is committed.
 ///
-/// The `server*` and `pipelined` engine points (thread-parallel: the
-/// replays spawn worker threads, the pipelined engine forks its ingest
-/// stage, both at the mercy of the runner's scheduler) are gated at
-/// **double** the tolerance; single-threaded points get the tolerance
-/// as given.
+/// The `server*` points (thread-parallel: the replays spawn worker
+/// threads, at the mercy of the runner's scheduler) are gated at
+/// **double** the tolerance; the in-process engine points get the
+/// tolerance as given.
 #[must_use]
 pub fn check(baseline: &PerfReport, fresh: &PerfReport, tolerance: f64) -> CheckReport {
     let mut lines = Vec::new();
     let mut new_points = Vec::new();
     for f in &fresh.records {
         let label = format!("{}/{}/{} m={}", f.mechanism, f.workload, f.engine, f.users);
-        let tol = if f.engine.starts_with("server") || f.engine == "pipelined" {
+        let tol = if f.engine.starts_with("server") {
             (tolerance * 2.0).min(0.95)
         } else {
             tolerance
@@ -493,14 +474,6 @@ mod tests {
                         .find(mechanism, source.name(), "rebuild", m)
                         .unwrap_or_else(|| panic!("{}/rebuild m={m}", source.name()));
                     assert!(rec.ops_per_sec > 0.0);
-                }
-                if source.bench_columnar() {
-                    for engine in ["columnar", "pipelined"] {
-                        let rec = report
-                            .find(mechanism, source.name(), engine, m)
-                            .unwrap_or_else(|| panic!("{}/{engine} m={m}", source.name()));
-                        assert!(rec.ops_per_sec > 0.0);
-                    }
                 }
                 if source.bench_regret() {
                     assert!(report.find("regret", source.name(), "-", m).is_some());
@@ -578,13 +551,6 @@ mod tests {
         assert!(check(&server_baseline, &wobble, 0.15).passed());
         let drop = report_of(vec![point("server4", 4_000, 65.0)]);
         assert!(!check(&server_baseline, &drop, 0.15).passed());
-        // The pipelined engine forks a worker thread too, and gets the
-        // same doubled tolerance.
-        let pipe_baseline = report_of(vec![point("pipelined", 1_000, 100.0)]);
-        let pipe_wobble = report_of(vec![point("pipelined", 1_000, 75.0)]);
-        assert!(check(&pipe_baseline, &pipe_wobble, 0.15).passed());
-        let pipe_drop = report_of(vec![point("pipelined", 1_000, 65.0)]);
-        assert!(!check(&pipe_baseline, &pipe_drop, 0.15).passed());
     }
 
     #[test]

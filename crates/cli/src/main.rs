@@ -30,13 +30,14 @@ fn usage() -> &'static str {
   osp example <addoff|addon|substoff|subston>
       Print a commented template game file for the given mechanism.
   osp serve [--shards <n>] [--queue-cap <n>]
-            [--engine incremental|rebuild|columnar|pipelined]
+            [--engine incremental|rebuild]
             [--socket <path>]
             [--wal-dir <dir>] [--checkpoint-every <events>]
       Run the sharded multi-game pricing server. Speaks line-delimited
       JSON requests/responses on stdin/stdout, or on a Unix socket with
       --socket. Defaults: 4 shards, queue cap 1024 requests per shard,
-      incremental engine.
+      incremental engine (the production engine; rebuild is the
+      paper-literal oracle).
       --wal-dir makes the server durable: every state-changing request
       is appended to a per-shard write-ahead log before it is answered,
       and on startup (or after a shard crash) games are recovered from

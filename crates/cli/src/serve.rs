@@ -69,9 +69,11 @@ fn parse_args(args: &[String], usage: &str) -> Result<ServeConfig, String> {
                 config.engine = match v.as_str() {
                     "incremental" => Engine::Incremental,
                     "rebuild" => Engine::Rebuild,
-                    "columnar" => Engine::Columnar,
-                    "pipelined" => Engine::Pipelined,
-                    other => return Err(format!("unknown engine `{other}`")),
+                    other => {
+                        return Err(format!(
+                            "unknown engine `{other}` (expected incremental or rebuild)"
+                        ))
+                    }
                 };
             }
             "--socket" => {

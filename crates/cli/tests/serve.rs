@@ -94,64 +94,94 @@ fn pipe_server_smoke_100_games_matches_oracle() {
     }
 }
 
-/// `--engine columnar` over the pipe: wire-safe traces sit on the
-/// micro-dollar grid, so this drives the lane fast path end-to-end and
-/// must still match the paper-literal rebuild oracle exactly.
+/// The engines folded into `incremental` are no longer `--engine`
+/// values: the server refuses to start and names the two that are.
 #[test]
-fn pipe_server_columnar_engine_matches_oracle() {
-    let cfg = ScriptConfig::smoke(40);
-    let requests = script::generate(&cfg);
-    let shutdown_id = requests.len() as u64 + 1;
-
-    let mut child = osp()
-        .args(["serve", "--shards", "2", "--engine", "columnar"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn osp serve");
-    {
-        let stdin = child.stdin.as_mut().expect("piped stdin");
-        let mut feed = String::new();
-        for request in &requests {
-            feed.push_str(&serde_json::to_string(request).unwrap());
-            feed.push('\n');
-        }
-        feed.push_str(
-            &serde_json::to_string(&Request {
-                id: shutdown_id,
-                op: osp_server::protocol::Op::Shutdown,
-            })
-            .unwrap(),
+fn serve_rejects_retired_engine_names() {
+    for retired in ["columnar", "pipelined"] {
+        let output = osp()
+            .args(["serve", "--engine", retired])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert!(
+            !output.status.success(),
+            "--engine {retired} must be refused"
         );
-        feed.push('\n');
-        stdin.write_all(feed.as_bytes()).expect("feed the trace");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown engine `{retired}`"))
+                && stderr.contains("incremental or rebuild"),
+            "{stderr}"
+        );
     }
-    let output = child.wait_with_output().expect("osp serve exits");
-    assert!(
-        output.status.success(),
-        "serve failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+}
 
-    let mut responses: Vec<Response> = String::from_utf8(output.stdout)
-        .expect("utf-8 responses")
-        .lines()
-        .map(|line| serde_json::from_str(line).expect("each line parses"))
-        .collect();
-    responses.pop().expect("shutdown acknowledgement");
-    responses.sort_by_key(|r| r.id);
-    let oracle = script::oracle(&requests, Engine::Rebuild, 2);
+/// A `create` whose horizon is far past `MAX_HORIZON` is a typed
+/// `bad_create`, not an allocation that aborts the process: the server
+/// stays up and prices another game on the same (single) shard exactly
+/// like the rebuild oracle.
+#[test]
+fn pipe_server_survives_an_oversized_horizon() {
+    use osp_server::protocol::{GameId, Mechanism, Op};
+    let create = |id: u64, game: u64, horizon: u32| Request {
+        id,
+        op: Op::Create {
+            game: GameId(game),
+            mechanism: Mechanism::AddOn,
+            horizon,
+            costs: vec!["10".into()],
+            engine: None,
+            seed: None,
+        },
+    };
+    let mut requests = vec![create(1, 1, u32::MAX), create(2, 2, 3)];
+    for (user, values) in [(0u32, ["6", "6", "6"]), (1, ["5", "4", "3"])] {
+        requests.push(Request {
+            id: 10 + u64::from(user),
+            op: Op::Arrive {
+                game: GameId(2),
+                user,
+                start: 1,
+                values: values.iter().map(|v| (*v).to_string()).collect(),
+                substitutes: Vec::new(),
+            },
+        });
+    }
+    for slot in 1..=3u32 {
+        requests.push(Request {
+            id: 20 + u64::from(slot),
+            op: Op::Tick {
+                game: GameId(2),
+                slot: Some(slot),
+            },
+        });
+    }
+    requests.push(Request {
+        id: 30,
+        op: Op::Snapshot { game: GameId(2) },
+    });
+
+    let responses = serve_once(&["--shards", "1"], &requests);
+    assert_eq!(responses.len(), requests.len());
+    assert!(
+        matches!(&responses[0].reply, Reply::Error { code, .. } if code == "bad_create"),
+        "{:?}",
+        responses[0]
+    );
+    let oracle = script::oracle(&requests, Engine::Rebuild, 1);
     for (served, expected) in responses.iter().zip(&oracle.responses) {
         assert_eq!(served.id, expected.id);
         match (&served.reply, &expected.reply) {
-            (Reply::Snapshot { game, doc }, Reply::Snapshot { game: g2, doc: d2 }) => {
-                assert_eq!(game, g2);
-                assert_eq!(outcome_of(doc), outcome_of(d2), "game {game}");
+            (Reply::Snapshot { doc, .. }, Reply::Snapshot { doc: d2, .. }) => {
+                assert_eq!(outcome_of(doc), outcome_of(d2));
             }
             _ => assert_eq!(served, expected),
         }
     }
+    assert!(responses
+        .iter()
+        .any(|r| matches!(&r.reply, Reply::Slot { report, .. } if report.share.is_some())));
 }
 
 #[test]

@@ -14,17 +14,18 @@
 //! bids are rejected — and [`run`] drives it end-to-end for batch
 //! experiments.
 //!
-//! Four [`Engine`]s drive the per-slot Shapley computation: the
+//! Two [`Engine`]s drive the per-slot Shapley computation. The
 //! default [`Engine::Incremental`] keeps one [`crate::shapley::Solver`]
 //! alive across slots (bids stay sorted, committing a slot's serviced
-//! cohort is O(1), arrivals/expiries are indexed by slot);
-//! [`Engine::Columnar`] is the same solver with its i64 micro-lane
-//! fast path enabled; [`Engine::Pipelined`] additionally overlaps slot
-//! `t`'s pricing with slot `t+1`'s ingestion on a second thread
-//! ([`crate::pipeline`]); and [`Engine::Rebuild`] re-runs
-//! [`crate::shapley::run`] on a freshly built bid map every slot — the
-//! paper-literal baseline. Outcomes are identical (property-tested and
-//! gated by the differential oracle); only the cost profile differs.
+//! cohort is O(1), arrivals/expiries are indexed by slot). Slots whose
+//! solver holds off-grid values also arm the next slot's pre-sorted
+//! splice, prepared on a second thread while the slot is priced when
+//! the slot has at least [`crate::pipeline::DEFAULT_FORK_MIN`] pending
+//! users and the host a second core ([`crate::pipeline`]).
+//! [`Engine::Rebuild`] re-runs [`crate::shapley::run`] on a freshly
+//! built bid map every slot — the paper-literal baseline. Outcomes are
+//! identical (property-tested and gated by the differential oracle);
+//! only the cost profile differs.
 //!
 //! ```
 //! use osp_core::prelude::*;
@@ -87,15 +88,14 @@ struct PipelinePrepared {
     seeds: Vec<(UserId, Money)>,
 }
 
-/// [`Engine::Pipelined`]-only scratch: the armed next-slot ingest, the
-/// fork threshold override (tests pin it to `Some(0)` to force the
-/// two-thread path on tiny games), the spent snapshot buffer (recycled
-/// so steady-state slots reallocate nothing), and the persistent
-/// stage-A worker thread.
+/// Scratch of the pre-sorted splice: the armed next-slot ingest, the
+/// two test hooks, the spent snapshot buffer (recycled so steady-state
+/// slots reallocate nothing), and the persistent stage-A worker thread.
 #[derive(Debug, Clone, Default)]
 struct PipelineScratch {
     prepared: Option<PipelinePrepared>,
     fork_min: Option<usize>,
+    sequential: bool,
     spare: Vec<(Money, i64, UserId)>,
     worker: pipeline::Worker<IngestJob, IngestDone>,
 }
@@ -173,11 +173,11 @@ fn common_scale(batch: &[(Money, i64, UserId)]) -> Option<(i128, bool)> {
     Some((scale, narrow))
 }
 
-/// The pipeline's stage A, also the tail of every sequential solver
-/// slot: retire slot `t` from the running residuals (restoring the
-/// invariant `residuals[u] = residual_from(now)` for the next slot)
-/// and, when `arm` is set, snapshot the sorted update batch and
-/// arrival seeds slot `next` will splice in. Users the overlapped
+/// The pipeline's stage A, also the tail of every unarmed solver slot:
+/// retire slot `t` from the running residuals (restoring the invariant
+/// `residuals[u] = residual_from(now)` for the next slot) and, when
+/// `arm` is set, snapshot the sorted update batch and arrival seeds
+/// slot `next` will splice in. Users the overlapped
 /// stage B is committing are still tracked here; they are filtered off
 /// the solver's `states` map when the batch is consumed.
 fn ingest_stage(
@@ -334,8 +334,8 @@ pub struct AddOnState {
     first_log: Vec<(UserId, SlotId)>,
     /// Deferred `(user, exit payment)` pairs (incremental only).
     pay_log: Vec<(UserId, Money)>,
-    /// [`Engine::Pipelined`] only: next slot's pre-computed ingest
-    /// (armed by the overlap stage, invalidated by [`Self::revise`]).
+    /// Next slot's pre-computed ingest (armed by an off-grid slot's
+    /// stage A, invalidated by [`Self::revise`]).
     #[serde(with = "pipeline_serde")]
     pipeline: PipelineScratch,
 }
@@ -355,6 +355,7 @@ impl AddOnState {
                 cost,
             });
         }
+        crate::check_horizon(horizon)?;
         let slots = horizon as usize + 1; // 1-based slot indexing
         Ok(AddOnState {
             cost,
@@ -367,7 +368,7 @@ impl AddOnState {
             payments: BTreeMap::new(),
             implemented_at: None,
             share_by_slot: Vec::with_capacity(horizon as usize),
-            solver: Solver::with_capacity_for(cost, 0, engine)?,
+            solver: Solver::new(cost)?,
             pending: FastSet::default(),
             residuals: ResidualTracker::new(),
             starts: vec![Vec::new(); slots],
@@ -378,14 +379,34 @@ impl AddOnState {
         })
     }
 
-    /// Overrides the minimum slot size at which [`Engine::Pipelined`]
-    /// forks its ingest stage onto a second thread (`None` restores
-    /// [`pipeline::DEFAULT_FORK_MIN`]). `Some(0)` forces the fork on
-    /// every slot — the stress tests use this to hammer the handoff on
-    /// games far too small to fork naturally.
+    /// Test hook: arm the pre-sorted splice in every slot of at least
+    /// `fork_min` pending plus arriving users, whatever their grid, and
+    /// fork every armed slot onto the worker thread on any host (`None`
+    /// restores the default policy). `Some(0)` hammers the handoff on
+    /// games far too small to arm naturally.
     #[doc(hidden)]
     pub fn set_fork_min(&mut self, fork_min: Option<usize>) {
         self.pipeline.fork_min = fork_min;
+    }
+
+    /// Test hook: run every armed slot's stages on the caller (price,
+    /// then ingest), as a single-core host does, whatever the override.
+    #[doc(hidden)]
+    pub fn set_sequential_splice(&mut self, sequential: bool) {
+        self.pipeline.sequential = sequential;
+    }
+
+    /// `true` when the slot about to be processed has a pre-sorted
+    /// splice armed (the previous slot armed it, and no revision has
+    /// dropped the snapshot since). Lets tests check which side of the
+    /// gate a slot takes.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn splice_armed(&self) -> bool {
+        self.pipeline
+            .prepared
+            .as_ref()
+            .is_some_and(|p| p.slot == self.now)
     }
 
     /// The slot about to be processed.
@@ -635,26 +656,25 @@ impl AddOnState {
 
         // Consume the ingest that stage A prepared while the previous
         // slot was being priced. Reaching here with a batch armed for
-        // this slot means no `revise` invalidated the snapshot.
+        // this slot means the previous slot armed it and no `revise`
+        // invalidated the snapshot since.
         let prepared = match self.pipeline.prepared.take() {
             Some(p) if p.slot == self.now => Some(p),
             _ => None,
         };
-        let arm = self.engine.pipelined() && self.now < self.horizon;
         let next = self.now + 1;
 
-        // Line 13, split as the two-stage slot pipeline under
-        // `Engine::Pipelined`: stage B splices the pre-sorted batch
-        // into the solver columns, solves, and commits slot `t` on this
-        // thread while stage A retires slot `t` from the running
-        // residuals and pre-sorts slot `t+1`'s update batch and arrival
-        // seeds. The stages touch disjoint fields (B: solver +
-        // expiries + the prepared snapshot; A: residuals + bids +
-        // starts), every quantity is exact `Money` arithmetic, and the
-        // non-forked path runs B then A — the sequential engine's own
-        // order — so fork vs no-fork is invisible in outcomes. Slots
-        // below the fork threshold stay sequential rather than paying a
-        // thread spawn.
+        // Line 13. An armed slot runs the two-stage slot pipeline:
+        // stage B splices the pre-sorted batch into the solver columns,
+        // solves, and commits slot `t` while stage A retires slot `t`
+        // from the running residuals and, if this slot arms the next,
+        // pre-sorts slot `t+1`'s update batch and arrival seeds. The
+        // stages touch disjoint fields (B: solver + expiries + the
+        // prepared snapshot; A: residuals + bids + starts), every
+        // quantity is exact `Money` arithmetic, and the non-forked path
+        // runs B then A — the unarmed slot's own order — so fork vs
+        // no-fork is invisible in outcomes. An unarmed slot
+        // batch-updates the solver instead.
         let (prepared_next, (share, newly, payers)) = if let Some(p) = prepared {
             // Arrival seeds were pre-summed for the prefix of `arrived`
             // known at preparation time; arrivals submitted since
@@ -679,14 +699,14 @@ impl AddOnState {
                 })
                 .collect();
             fresh.sort_unstable_by_key(|&(v, _, u)| std::cmp::Reverse((v, u)));
-            // An explicit override forks purely by size (tests force
-            // the handoff with `Some(0)` even on one core); the default
-            // policy additionally requires a second hardware thread,
-            // without which the fork is pure overhead.
-            let fork = match self.pipeline.fork_min {
-                Some(min) => self.residuals.len() >= min,
-                None => pipeline::multicore() && self.residuals.len() >= pipeline::DEFAULT_FORK_MIN,
-            };
+            let arm = self.arms_next();
+            // An override forks every armed slot, even on one core,
+            // unless tests ask for the sequential order; by default
+            // small slots and single-core hosts stay on the caller.
+            let fork = !self.pipeline.sequential
+                && (self.pipeline.fork_min.is_some()
+                    || (pipeline::multicore()
+                        && self.residuals.len() >= pipeline::DEFAULT_FORK_MIN));
             let solver = &mut self.solver;
             let expiring = &self.expiries[self.now as usize];
             // Stage A's state ships to the worker by value and comes
@@ -735,6 +755,7 @@ impl AddOnState {
             // `update_bids` sorts internally, so the hash iteration
             // order cannot leak into the outcome.)
             self.solver.update_bids(self.residuals.iter());
+            let arm = self.arms_next();
             let priced = price_slot(&mut self.solver, &self.expiries[self.now as usize]);
             let spare = std::mem::take(&mut self.pipeline.spare);
             let prepared_next = ingest_stage(
@@ -769,6 +790,12 @@ impl AddOnState {
         payments.sort_unstable();
 
         self.now += 1;
+        if self.now > self.horizon {
+            // A finished game never arms again: join its worker thread
+            // and free the batch buffer now, not when the state is
+            // dropped (a server keeps finished games).
+            self.pipeline = PipelineScratch::default();
+        }
         if !want_report {
             return None;
         }
@@ -786,6 +813,18 @@ impl AddOnState {
             share,
             payments,
         })
+    }
+
+    /// Whether the slot being processed arms the next slot's pre-sorted
+    /// splice: a next slot exists and the solver holds off-grid bids —
+    /// the integer-key sort only pays where `update_bids` would compare
+    /// rationals, not `i64` lanes. An override arms by size alone.
+    fn arms_next(&self) -> bool {
+        self.now < self.horizon
+            && match self.pipeline.fork_min {
+                Some(min) => self.residuals.len() >= min,
+                None => self.solver.has_off_grid(),
+            }
     }
 
     /// One slot as the seed's literal Mechanism 2 transcription: a
@@ -942,7 +981,15 @@ pub fn run(game: &AddOnGame) -> Result<AddOnOutcome> {
 /// [`run`] with an explicit per-slot Shapley [`Engine`]; outcomes are
 /// engine-independent (property-tested), only the cost profile differs.
 pub fn run_with_engine(game: &AddOnGame, engine: Engine) -> Result<AddOnOutcome> {
-    let mut state = AddOnState::with_engine(game.cost, game.horizon, engine)?;
+    play(
+        AddOnState::with_engine(game.cost, game.horizon, engine)?,
+        game,
+    )
+}
+
+/// Reveals every bid of `game` at its start slot and advances `state`
+/// through the horizon.
+fn play(mut state: AddOnState, game: &AddOnGame) -> Result<AddOnOutcome> {
     let mut by_start: BTreeMap<SlotId, Vec<&OnlineBid>> = BTreeMap::new();
     for bid in &game.bids {
         by_start.entry(bid.start()).or_default().push(bid);
@@ -1221,8 +1268,9 @@ mod tests {
         // retires her at the start of t=2. A later extension (legal:
         // `from ≥ now`, values only grow) must bring her back — the
         // engines diverged here before the resurrection in `revise`.
-        let run_engine = |engine: Engine| {
+        let run_engine = |engine: Engine, fork_min: Option<usize>| {
             let mut st = AddOnState::with_engine(m(100), 3, engine).unwrap();
+            st.set_fork_min(fork_min);
             st.submit(bid(0, 1, &[10])).unwrap();
             st.advance().unwrap();
             st.advance().unwrap();
@@ -1230,10 +1278,9 @@ mod tests {
             st.advance().unwrap();
             st.finish().unwrap()
         };
-        let inc = run_engine(Engine::Incremental);
-        assert_eq!(inc, run_engine(Engine::Rebuild));
-        assert_eq!(inc, run_engine(Engine::Columnar));
-        assert_eq!(inc, run_engine(Engine::Pipelined));
+        let inc = run_engine(Engine::Incremental, None);
+        assert_eq!(inc, run_engine(Engine::Rebuild, None));
+        assert_eq!(inc, run_engine(Engine::Incremental, Some(0)));
         // And the revision really took: u0 is serviced at t=3, pays 100.
         assert_eq!(inc.first_serviced[&UserId(0)], SlotId(3));
         assert_eq!(inc.payments[&UserId(0)], m(100));
@@ -1248,8 +1295,9 @@ mod tests {
         // (Found by the differential oracle: the incremental engine's
         // deferred pay_log used an unstable per-user sort, so which of
         // the two payments survived was arbitrary.)
-        let run_engine = |engine: Engine| {
+        let run_engine = |engine: Engine, fork_min: Option<usize>| {
             let mut st = AddOnState::with_engine(m(100), 3, engine).unwrap();
+            st.set_fork_min(fork_min);
             st.submit(bid(0, 1, &[101])).unwrap();
             let r1 = st.advance().unwrap();
             assert_eq!(r1.payments, vec![(UserId(0), m(100))]);
@@ -1264,10 +1312,9 @@ mod tests {
             );
             st.finish().unwrap()
         };
-        let inc = run_engine(Engine::Incremental);
-        assert_eq!(inc, run_engine(Engine::Rebuild));
-        assert_eq!(inc, run_engine(Engine::Columnar));
-        assert_eq!(inc, run_engine(Engine::Pipelined));
+        let inc = run_engine(Engine::Incremental, None);
+        assert_eq!(inc, run_engine(Engine::Rebuild, None));
+        assert_eq!(inc, run_engine(Engine::Incremental, Some(0)));
         assert_eq!(inc.payments[&UserId(0)], m(50));
     }
 
@@ -1285,6 +1332,37 @@ mod tests {
         }
         // Exit payment now happens at t=4.
         assert_eq!(last.unwrap().payments, vec![(UserId(0), m(100))]);
+    }
+
+    #[test]
+    fn finishing_the_game_joins_its_worker_thread() {
+        let mut st = AddOnState::new(m(100), 3).unwrap();
+        st.set_fork_min(Some(0));
+        st.submit(bid(0, 1, &[10, 10, 10])).unwrap();
+        let spawned = |st: &AddOnState| format!("{:?}", st.pipeline.worker).contains("true");
+        st.advance().unwrap();
+        st.advance().unwrap();
+        assert!(spawned(&st), "the forced splice forks from slot 2");
+        st.advance().unwrap();
+        assert!(st.is_finished());
+        assert!(!spawned(&st), "a finished game keeps no worker thread");
+    }
+
+    #[test]
+    fn horizon_above_the_bound_is_a_typed_error() {
+        for engine in [Engine::Incremental, Engine::Rebuild] {
+            let top = AddOnState::with_engine(m(1), crate::MAX_HORIZON, engine).unwrap();
+            assert_eq!(top.horizon(), crate::MAX_HORIZON);
+            for horizon in [crate::MAX_HORIZON + 1, u32::MAX] {
+                assert_eq!(
+                    AddOnState::with_engine(m(1), horizon, engine).unwrap_err(),
+                    MechanismError::HorizonTooLong {
+                        horizon,
+                        max: crate::MAX_HORIZON
+                    }
+                );
+            }
+        }
     }
 
     #[test]
@@ -1379,46 +1457,36 @@ mod tests {
             })
     }
 
-    /// [`run_with_engine`] with `Engine::Pipelined` and the fork
-    /// threshold pinned to zero, so even these tiny proptest games
-    /// exercise the real two-thread ingest/price handoff.
-    fn run_pipelined_forced(game: &AddOnGame) -> AddOnOutcome {
-        let mut state =
-            AddOnState::with_engine(game.cost, game.horizon, Engine::Pipelined).unwrap();
+    /// [`run_with_engine`] on the production engine with the arming
+    /// threshold pinned to zero, so even these tiny proptest games take
+    /// the pre-sorted splice every slot: through the real two-thread
+    /// ingest/price handoff, or (`sequential`) pricing then ingesting
+    /// on the caller.
+    fn run_forced_splice(game: &AddOnGame, sequential: bool) -> AddOnOutcome {
+        let mut state = AddOnState::new(game.cost, game.horizon).unwrap();
         state.set_fork_min(Some(0));
-        let mut by_start: BTreeMap<SlotId, Vec<&OnlineBid>> = BTreeMap::new();
-        for bid in &game.bids {
-            by_start.entry(bid.start()).or_default().push(bid);
-        }
-        for t in 1..=game.horizon {
-            if let Some(bids) = by_start.get(&SlotId(t)) {
-                for &bid in bids {
-                    state.submit(bid.clone()).unwrap();
-                }
-            }
-            state.advance_quiet().unwrap();
-        }
-        state.finish().unwrap()
+        state.set_sequential_splice(sequential);
+        play(state, game).unwrap()
     }
 
     proptest::proptest! {
-        /// Tentpole + regression: the incremental solver engine, the
-        /// per-slot rebuild engine (which now skips unseen users), and
-        /// the literal reference (which materializes zero bids for
+        /// Tentpole + regression: the production engine (on its
+        /// default gate and with every slot forced onto the splice,
+        /// forked and sequential),
+        /// the per-slot rebuild engine (which now skips unseen users),
+        /// and the literal reference (which materializes zero bids for
         /// unseen users) all produce identical outcomes.
         #[test]
         fn engines_and_literal_reference_agree(game in arb_addon_game()) {
             use proptest::prelude::*;
             let incremental = run_with_engine(&game, Engine::Incremental).unwrap();
             let rebuild = run_with_engine(&game, Engine::Rebuild).unwrap();
-            let columnar = run_with_engine(&game, Engine::Columnar).unwrap();
-            let pipelined = run_with_engine(&game, Engine::Pipelined).unwrap();
-            let forced = run_pipelined_forced(&game);
+            let forced = run_forced_splice(&game, false);
+            let sequential = run_forced_splice(&game, true);
             let literal = literal_reference(&game);
             prop_assert_eq!(&incremental, &rebuild);
-            prop_assert_eq!(&incremental, &columnar);
-            prop_assert_eq!(&incremental, &pipelined);
             prop_assert_eq!(&incremental, &forced);
+            prop_assert_eq!(&incremental, &sequential);
             prop_assert_eq!(&incremental, &literal);
         }
 
@@ -1430,37 +1498,38 @@ mod tests {
             use proptest::prelude::*;
             let mut inc = AddOnState::with_engine(game.cost, game.horizon, Engine::Incremental).unwrap();
             let mut reb = AddOnState::with_engine(game.cost, game.horizon, Engine::Rebuild).unwrap();
-            let mut col = AddOnState::with_engine(game.cost, game.horizon, Engine::Columnar).unwrap();
-            let mut pip = AddOnState::with_engine(game.cost, game.horizon, Engine::Pipelined).unwrap();
-            pip.set_fork_min(Some(0));
+            let mut forced = AddOnState::with_engine(game.cost, game.horizon, Engine::Incremental).unwrap();
+            forced.set_fork_min(Some(0));
+            let mut sequential = forced.clone();
+            sequential.set_sequential_splice(true);
             for bid in &game.bids {
                 inc.submit(bid.clone()).unwrap();
                 reb.submit(bid.clone()).unwrap();
-                col.submit(bid.clone()).unwrap();
-                pip.submit(bid.clone()).unwrap();
+                forced.submit(bid.clone()).unwrap();
+                sequential.submit(bid.clone()).unwrap();
             }
             for _ in 1..=game.horizon {
                 let step = inc.advance().unwrap();
                 prop_assert_eq!(&step, &reb.advance().unwrap());
-                prop_assert_eq!(&step, &col.advance().unwrap());
-                prop_assert_eq!(&step, &pip.advance().unwrap());
+                prop_assert_eq!(&step, &forced.advance().unwrap());
+                prop_assert_eq!(&step, &sequential.advance().unwrap());
             }
             let done = inc.finish().unwrap();
             prop_assert_eq!(&done, &reb.finish().unwrap());
-            prop_assert_eq!(&done, &col.finish().unwrap());
-            prop_assert_eq!(&done, &pip.finish().unwrap());
+            prop_assert_eq!(&done, &forced.finish().unwrap());
+            prop_assert_eq!(&done, &sequential.finish().unwrap());
         }
     }
 
     #[test]
     fn engines_agree_under_revisions() {
-        for engine in [
-            Engine::Incremental,
-            Engine::Rebuild,
-            Engine::Columnar,
-            Engine::Pipelined,
+        for (engine, fork_min) in [
+            (Engine::Incremental, None),
+            (Engine::Rebuild, None),
+            (Engine::Incremental, Some(0)),
         ] {
             let mut st = AddOnState::with_engine(m(100), 4, engine).unwrap();
+            st.set_fork_min(fork_min);
             st.submit(bid(0, 1, &[10, 10])).unwrap();
             st.submit(bid(1, 2, &[5, 5, 5])).unwrap();
             st.advance().unwrap();
@@ -1477,7 +1546,7 @@ mod tests {
             assert_eq!(
                 last.payments,
                 vec![(UserId(0), m(50)), (UserId(1), m(50))],
-                "engine {engine:?}"
+                "engine {engine:?}, fork_min {fork_min:?}"
             );
         }
     }

@@ -72,6 +72,14 @@ pub enum MechanismError {
         /// The game horizon `z`.
         horizon: u32,
     },
+    /// An online game's horizon above [`crate::MAX_HORIZON`]: its
+    /// per-slot indexes would be sized for slots no bid can use.
+    HorizonTooLong {
+        /// The requested horizon `z`.
+        horizon: u32,
+        /// The largest accepted horizon.
+        max: u32,
+    },
     /// Advancing past the final slot.
     HorizonExhausted {
         /// The game horizon `z`.
@@ -116,6 +124,9 @@ impl fmt::Display for MechanismError {
             ),
             MechanismError::BeyondHorizon { user, end, horizon } => {
                 write!(f, "{user} bid through {end}, beyond horizon {horizon}")
+            }
+            MechanismError::HorizonTooLong { horizon, max } => {
+                write!(f, "horizon {horizon} exceeds the maximum of {max} slots")
             }
             MechanismError::HorizonExhausted { horizon } => {
                 write!(f, "all {horizon} slots already processed")

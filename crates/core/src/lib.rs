@@ -56,6 +56,24 @@ pub mod welfare;
 
 pub use error::{MechanismError, Result};
 
+/// The longest horizon an online game ([`addon::AddOnState`],
+/// [`subston::SubstOnState`]) accepts. AddOn indexes arrivals and
+/// expiries by slot, so an empty game's two per-slot vectors cost
+/// about 3 MB at this bound; the registered workloads run at most 120
+/// slots.
+pub const MAX_HORIZON: u32 = 1 << 16;
+
+/// [`MechanismError::HorizonTooLong`] unless `horizon ≤ MAX_HORIZON`.
+pub(crate) fn check_horizon(horizon: u32) -> Result<()> {
+    if horizon > MAX_HORIZON {
+        return Err(MechanismError::HorizonTooLong {
+            horizon,
+            max: MAX_HORIZON,
+        });
+    }
+    Ok(())
+}
+
 /// One-stop imports for examples and downstream crates.
 pub mod prelude {
     pub use crate::addoff::{self, OfflineOutcome};

@@ -1,8 +1,8 @@
-//! Two-stage slot-pipeline scaffolding for [`Engine::Pipelined`].
+//! Two-stage slot pipeline for off-grid AddOn slots.
 //!
 //! The online mechanisms evaluate slot by slot, but the only *cross*-slot
-//! dependency is the serialized `Solver::commit_top` (ROADMAP "Parallel
-//! slot pipeline"). That leaves a clean two-stage split per slot:
+//! dependency is the serialized `Solver::commit_top`. That leaves a
+//! clean two-stage split per slot:
 //!
 //! - **stage B (price)** — splice the pre-sorted update batch into the
 //!   solver, solve the affordable-prefix problem for slot `t`, and
@@ -12,44 +12,38 @@
 //!   `(value, lane, user)` update batch the solver will splice in next
 //!   slot.
 //!
-//! Two primitives run that split, both degrading to *strictly
-//! sequential* execution (price first, then ingest — the exact order
-//! the incremental engine uses) when `fork` is false. Because every
+//! The production engine ([`Engine::Incremental`]) arms this split on
+//! AddOn slots whose solver holds off-grid values, and forks it onto a
+//! second thread from [`DEFAULT_FORK_MIN`] pending users on a
+//! multi-core host; on-grid slots keep the plain batch update.
+//! [`Worker`] + [`overlap_owned`] run the split: ONE persistent thread
+//! per state (lazily spawned, parked on a channel between slots)
+//! receives the ingest stage's state **by value** and returns it with
+//! the result, so steady-state handoff is a send + unpark. The stages
+//! partition state completely, so ownership can round-trip — which is
+//! also what keeps the whole crate `forbid(unsafe_code)` (no
+//! scoped-lifetime erasure, just moves).
+//!
+//! With `fork == false` the primitive degrades to *strictly sequential*
+//! execution on the caller (price first, then ingest). Because every
 //! quantity involved is exact [`Money`] arithmetic and the stages touch
 //! disjoint state, the forked and sequential paths are bit-identical;
-//! the fork is purely a wall-clock optimization, so tiny slots degrade
-//! to the sequential path instead of paying a thread handoff for no
-//! work (see [`DEFAULT_FORK_MIN`]).
+//! the fork is purely a wall-clock optimization.
 //!
-//! - [`overlap`] spawns a scoped thread per call. Borrow-friendly (the
-//!   stages may share `&` state), but a fresh spawn — stack mmap,
-//!   first-touch faults, join teardown — costs tens of microseconds
-//!   *every slot*. SubstOn uses it: its phase loop and ingest stage
-//!   share read-only bid rows, and its phase-dominated slots amortize
-//!   the spawn.
-//! - [`Worker`] + [`overlap_owned`] keep ONE persistent thread per
-//!   state (lazily spawned, parked on a channel between slots) and ship
-//!   the ingest stage's state through it **by value**, returning it
-//!   with the result. Steady-state handoff is a send + unpark. AddOn
-//!   uses it: its stages partition state completely, so ownership can
-//!   round-trip — which is also what keeps the whole crate
-//!   `forbid(unsafe_code)` (no scoped-lifetime erasure, just moves).
-//!
-//! [`Engine::Pipelined`]: crate::shapley::Engine::Pipelined
+//! [`Engine::Incremental`]: crate::shapley::Engine::Incremental
 //! [`Money`]: osp_econ::Money
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
 
-/// Minimum number of pipelined work items (pending users in the slot
-/// being ingested) below which [`Engine::Pipelined`] stays on the
-/// sequential path. Waking (or spawning) the stage-A thread costs
-/// microseconds; a slot with only a few hundred pending users prices in
-/// less than that, so forking would *add* latency. The cutoff is
-/// deliberately conservative — the differential oracle exercises both
-/// sides of it, and tests can force the fork with
-/// `set_fork_min(Some(0))`.
+/// Pending plus arriving users from which an armed AddOn slot (its
+/// solver holds off-grid bids) forks its ingest stage onto the
+/// [`Worker`] on a multi-core host; smaller armed slots run both stages
+/// on the caller, since a worker wake costs more than they overlap.
+/// Arming has no size gate: off the grid the splice beats `update_bids`
+/// from about 100 users up (README, "The pre-sorted splice"), and
+/// on-grid slots never arm.
 pub const DEFAULT_FORK_MIN: usize = 192;
 
 /// `true` when the host exposes more than one hardware thread.
@@ -57,46 +51,14 @@ pub const DEFAULT_FORK_MIN: usize = 192;
 /// Forking the ingest stage can only overlap work if a second core
 /// exists to run it; on a single-core host the fork degenerates into
 /// the same sequential work plus context switches and a channel round
-/// trip per slot. The default fork policy therefore stays sequential
-/// there — an explicit `set_fork_min` override still forks (the stress
-/// tests rely on that to exercise the handoff on any machine).
+/// trip per slot. The default policy therefore stays sequential there —
+/// an explicit `set_fork_min` override still forks (the stress tests
+/// rely on that to exercise the handoff on any machine).
 pub fn multicore() -> bool {
     use std::sync::OnceLock;
     static MULTI: OnceLock<bool> = OnceLock::new();
     *MULTI
         .get_or_init(|| thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1)
-}
-
-/// Runs `ingest` (stage A) and `price` (stage B) and returns both
-/// results, spawning a scoped thread for stage A when `fork` is true.
-///
-/// With `fork == false` the stages run sequentially on the calling
-/// thread in engine order — `price` first, then `ingest`. With
-/// `fork == true` stage A runs on a scoped worker thread while stage B
-/// runs on the calling thread; both must therefore capture disjoint
-/// `&mut` state (the borrow checker enforces this at the call site). A
-/// panic on either side is resumed on the caller after the scope joins,
-/// so poisoning and panic propagation behave exactly like the
-/// sequential path.
-pub fn overlap<RA, RB, A, B>(fork: bool, ingest: A, price: B) -> (RA, RB)
-where
-    RA: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-{
-    if !fork {
-        let priced = price();
-        return (ingest(), priced);
-    }
-    thread::scope(|scope| {
-        let a = scope.spawn(ingest);
-        let priced = price();
-        let ingested = match a.join() {
-            Ok(r) => r,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (ingested, priced)
-    })
 }
 
 /// One job round-trip on the worker thread: the job function (a plain
@@ -116,8 +78,8 @@ type Handoff<J, R> = (fn(J) -> R, J);
 ///
 /// The worker is deliberately *not* part of any state snapshot: it is
 /// pure execution scaffolding, so [`Clone`] hands the copy a fresh
-/// (unspawned) worker and serde skips it entirely (the mechanisms'
-/// scratch already serializes as `null`).
+/// (unspawned) worker and serde skips it entirely (the AddOn pipeline
+/// scratch serializes as `null`).
 pub struct Worker<J, R> {
     tx: Option<mpsc::Sender<Handoff<J, R>>>,
     done: Option<mpsc::Receiver<thread::Result<R>>>,
@@ -224,7 +186,7 @@ impl<R> Drop for JoinGuard<'_, R> {
 ///
 /// With `fork == false` both run sequentially on the calling thread in
 /// engine order — `price` first, then `work` — which is byte-for-byte
-/// the incremental engine's slot loop. With `fork == true` the job is
+/// the sequential slot loop. With `fork == true` the job is
 /// shipped to the worker **by value** and its result (which returns the
 /// moved state to the caller) is joined before this function returns; a
 /// stage A panic is re-thrown on the caller after `price` completes,
@@ -263,51 +225,49 @@ mod tests {
 
     #[test]
     fn sequential_runs_price_before_ingest() {
-        // The non-forked path must preserve the incremental engine's
-        // order: price the current slot, then ingest the next.
-        let log = std::sync::Mutex::new(Vec::new());
-        let (a, b) = overlap(
+        // The non-forked path must preserve the sequential slot order:
+        // price the current slot, then ingest the next.
+        static LOG: std::sync::Mutex<Vec<&str>> = std::sync::Mutex::new(Vec::new());
+        let mut worker: Worker<(), u32> = Worker::default();
+        let (a, b) = overlap_owned(
+            &mut worker,
             false,
-            || {
-                log.lock().unwrap().push("ingest");
+            |()| {
+                LOG.lock().unwrap().push("ingest");
                 1
             },
+            (),
             || {
-                log.lock().unwrap().push("price");
+                LOG.lock().unwrap().push("price");
                 2
             },
         );
         assert_eq!((a, b), (1, 2));
-        assert_eq!(*log.lock().unwrap(), ["price", "ingest"]);
+        assert_eq!(*LOG.lock().unwrap(), ["price", "ingest"]);
     }
 
     #[test]
     fn forked_returns_both_results() {
-        let counter = AtomicUsize::new(0);
-        let (a, b) = overlap(
+        static COUNTER: AtomicUsize = AtomicUsize::new(0);
+        let mut worker: Worker<(), usize> = Worker::default();
+        let (a, b) = overlap_owned(
+            &mut worker,
             true,
-            || counter.fetch_add(1, Ordering::SeqCst),
-            || counter.fetch_add(10, Ordering::SeqCst),
+            |()| COUNTER.fetch_add(1, Ordering::SeqCst),
+            (),
+            || COUNTER.fetch_add(10, Ordering::SeqCst),
         );
-        // Both closures ran exactly once, whatever the interleaving.
-        assert_eq!(counter.load(Ordering::SeqCst), 11);
+        // Both stages ran exactly once, whatever the interleaving.
+        assert_eq!(COUNTER.load(Ordering::SeqCst), 11);
         assert!(a == 0 || a == 10);
         assert!(b == 0 || b == 1);
     }
 
     #[test]
     fn sequential_path_never_spawns() {
-        // Tiny slots (below the fork threshold) must degrade to the
-        // caller's thread — no idle worker, no handoff latency.
+        // Unarmed slots must stay on the caller's thread — no idle
+        // worker, no handoff latency.
         let caller = std::thread::current().id();
-        let (a, b) = overlap(
-            false,
-            || std::thread::current().id(),
-            || std::thread::current().id(),
-        );
-        assert_eq!(a, caller);
-        assert_eq!(b, caller);
-
         let mut worker: Worker<(), std::thread::ThreadId> = Worker::default();
         let (a, b) = overlap_owned(
             &mut worker,
@@ -323,10 +283,8 @@ mod tests {
 
     #[test]
     fn forked_with_empty_stages_degrades_cleanly() {
-        // workers > items degenerate case: both stages are no-ops and
-        // the fork must still join and return.
-        let ((), ()) = overlap(true, || (), || ());
-        let ((), ()) = overlap(false, || (), || ());
+        // Both stages are no-ops and the fork must still join and
+        // return.
         let mut worker: Worker<(), ()> = Worker::default();
         let ((), ()) = overlap_owned(&mut worker, true, |()| (), (), || ());
         let ((), ()) = overlap_owned(&mut worker, false, |()| (), (), || ());
@@ -334,20 +292,34 @@ mod tests {
 
     #[test]
     fn ingest_panic_propagates() {
-        let caught = std::panic::catch_unwind(|| {
-            overlap(true, || panic!("stage A died"), || 7);
-        });
-        let payload = caught.unwrap_err();
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "stage A died");
+        // A stage A panic surfaces on the caller with its payload, on
+        // the sequential path as well as the forked one.
+        for fork in [false, true] {
+            let mut worker: Worker<u32, u32> = Worker::default();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                overlap_owned(&mut worker, fork, |_| panic!("stage A died"), 1, || 7);
+            }));
+            let payload = caught.unwrap_err();
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+            assert_eq!(msg, "stage A died", "fork = {fork}");
+        }
     }
 
     #[test]
     fn price_panic_propagates() {
-        let caught = std::panic::catch_unwind(|| {
-            overlap(true, || 7, || panic!("stage B died"));
-        });
-        assert!(caught.is_err());
+        for fork in [false, true] {
+            let mut worker: Worker<u32, u32> = Worker::default();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                overlap_owned(
+                    &mut worker,
+                    fork,
+                    |x| x,
+                    7,
+                    || -> u32 { panic!("stage B died") },
+                );
+            }));
+            assert!(caught.is_err(), "fork = {fork}");
+        }
     }
 
     #[test]

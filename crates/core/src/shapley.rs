@@ -202,56 +202,59 @@ pub fn value_bids(bids: impl IntoIterator<Item = (UserId, Money)>) -> BTreeMap<U
 
 /// Which engine drives the per-slot Shapley computation inside the
 /// online mechanisms ([`crate::addon`], [`crate::subston`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// Serialized as its variant name. Documents written while the solver's
+/// lane scan and the AddOn slot pipeline were separate engines carry
+/// `"Columnar"` or `"Pipelined"`; both now restore as
+/// [`Engine::Incremental`], which runs those fast paths itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Engine {
-    /// Reuse one incremental [`Solver`] across slots (default): bids
-    /// stay sorted between slots, committing the serviced prefix is
-    /// O(1), and no per-slot maps are allocated.
+    /// The production engine (default): one persistent [`Solver`]
+    /// across slots, so bids stay sorted between slots, committing the
+    /// serviced prefix is O(1), and no per-slot maps are allocated. It
+    /// picks its fast paths from what it can observe:
+    ///
+    /// - the solver's affordable-prefix scan and batch merge run over
+    ///   flat `i64` micro-dollar lanes whenever every finite bid and
+    ///   the cost lie on that grid, and over exact [`Money`] otherwise;
+    /// - an AddOn slot whose solver holds off-grid bids arms the next
+    ///   slot's pre-sorted splice: its update batch is sorted by exact
+    ///   integer keys at the batch's common denominator and merged into
+    ///   the solver in one pass, and from
+    ///   [`crate::pipeline::DEFAULT_FORK_MIN`] pending plus arriving
+    ///   users on a multi-core host that preparation overlaps the
+    ///   pricing on a second thread ([`crate::pipeline`]). On-grid
+    ///   slots take the plain [`Solver::update_bids`] path.
+    ///
+    /// Outcomes are bit-identical to [`Engine::Rebuild`] on every path
+    /// (property-tested and gated by the differential oracle).
     #[default]
     Incremental,
     /// Rebuild the residual bid map and re-run [`run`] from scratch
     /// every slot — the paper-literal path, kept as the benchmark
     /// baseline and as the oracle for engine-equivalence tests.
     Rebuild,
-    /// The [`Incremental`](Engine::Incremental) solver with its i64
-    /// micro-lane fast path enabled: the affordable-prefix scan and
-    /// the batch-merge comparisons run over the flat lane column
-    /// (`osp_econ::column` kernels) whenever every finite bid and the
-    /// cost lie on the micro-dollar grid, falling back per-entry to
-    /// exact [`Money`] arithmetic otherwise. Bit-identical outcomes —
-    /// proven by the differential oracle against both other engines.
-    Columnar,
-    /// The [`Columnar`](Engine::Columnar) solver with the two-stage
-    /// slot pipeline on top (`crate::pipeline`): while slot `t` is
-    /// being priced and committed (the only cross-slot dependency),
-    /// a second thread retires slot `t`'s valuations from the running
-    /// residuals and pre-computes slot `t+1`'s sorted update batch and
-    /// arrival seeds. Slots too small to amortize a thread spawn fall
-    /// back to the sequential columnar path. Bit-identical outcomes —
-    /// every quantity is exact [`Money`] arithmetic over disjoint
-    /// state, proven by the differential oracle against all three
-    /// other engines.
-    Pipelined,
+}
+
+impl<'de> Deserialize<'de> for Engine {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        match String::deserialize(deserializer)?.as_str() {
+            "Incremental" | "Columnar" | "Pipelined" => Ok(Engine::Incremental),
+            "Rebuild" => Ok(Engine::Rebuild),
+            other => Err(serde::de::Error::custom(format!(
+                "unknown Engine variant `{other}`"
+            ))),
+        }
+    }
 }
 
 impl Engine {
-    /// `true` for the engines that drive a persistent [`Solver`]
-    /// across slots ([`Engine::Incremental`], [`Engine::Columnar`],
-    /// [`Engine::Pipelined`]); `false` for the paper-literal
-    /// [`Engine::Rebuild`]. The online mechanisms branch on this, not
-    /// on the specific variant, so the columnar and pipelined engines
-    /// inherit the incremental slot logic wholesale.
+    /// `true` for the production engine, which drives a persistent
+    /// [`Solver`] across slots; `false` for the paper-literal
+    /// [`Engine::Rebuild`].
     #[must_use]
     pub fn uses_solver(self) -> bool {
         !matches!(self, Engine::Rebuild)
-    }
-
-    /// `true` for [`Engine::Pipelined`]: the online mechanisms overlap
-    /// slot `t`'s pricing with slot `t+1`'s ingestion when this is set
-    /// (and the slot is big enough to amortize the fork).
-    #[must_use]
-    pub fn pipelined(self) -> bool {
-        matches!(self, Engine::Pipelined)
     }
 }
 
@@ -278,7 +281,7 @@ impl Solution {
 }
 
 /// Lane sentinel for finite bids that do not lie on the micro-dollar
-/// grid (and for the cost when it is off-grid): the columnar fast path
+/// grid (and for the cost when it is off-grid): the lane fast path
 /// is disabled while any are present, so the sentinel can never be
 /// compared or multiplied.
 const OFF_GRID: i64 = i64::MIN;
@@ -312,12 +315,12 @@ pub(crate) fn lane_of(value: Money) -> i64 {
 ///
 /// The `values` column is the exact truth ([`Money`] rationals); the
 /// `lanes` column mirrors each finite bid in micro-dollar lane units
-/// whenever it lies on that grid. Under [`Engine::Columnar`] the hot
-/// loops — [`Solver::solve`]'s affordable-prefix scan and
-/// [`Solver::update_bids`]' merge — run branch-light over the
-/// contiguous `i64` lanes (`osp_econ::column` kernels) while
-/// `off_grid == 0` and the cost is on-grid, and fall back to the exact
-/// `values` column otherwise, so exactness is preserved at the edges.
+/// whenever it lies on that grid. The hot loops — [`Solver::solve`]'s
+/// affordable-prefix scan and [`Solver::update_bids`]' merge — run
+/// branch-light over the contiguous `i64` lanes (`osp_econ::column`
+/// kernels) while `off_grid == 0` and the cost is on-grid, and fall back
+/// to the exact `values` column otherwise, so exactness is preserved at
+/// the edges.
 ///
 /// * [`Solver::update_bid`] inserts or moves one entry (binary search
 ///   plus contiguous rotates of the three columns);
@@ -338,7 +341,7 @@ pub(crate) fn lane_of(value: Money) -> i64 {
 /// 2. The finite region `[committed_len..]` is strictly descending by
 ///    `(value, user)` — strict because users are unique. On a common
 ///    grid the lane order is the same order, which is what lets the
-///    columnar merge compare `(lane, user)` pairs instead of rationals.
+///    lane merge compare `(lane, user)` pairs instead of rationals.
 /// 3. `states` mirrors the columns: every user appears exactly once,
 ///    with the value recorded in `values` (this is what makes the
 ///    binary search in `find_finite` exact). It is a seedless
@@ -347,12 +350,12 @@ pub(crate) fn lane_of(value: Money) -> i64 {
 ///    into outcomes.
 /// 4. `off_grid` counts the finite entries whose lane is [`OFF_GRID`];
 ///    `cost_lane` is the cost in lane units (or [`OFF_GRID`]). The
-///    columnar fast path is taken only when both say the whole scan is
+///    lane fast path is taken only when both say the whole scan is
 ///    on-grid.
 ///
 /// Equivalence with [`run`] and [`run_iterative`] under arbitrary
 /// `update_bid`/`commit`/`remove` interleavings is property-tested,
-/// and the columnar path is pinned against both scalar engines by the
+/// and the lane path is pinned against the rebuild engine by the
 /// differential oracle (`osp_bench::differential`).
 ///
 /// The solver serializes (all fields are plain data), so the online
@@ -372,29 +375,12 @@ pub struct Solver {
     committed_len: usize,
     /// Finite entries currently holding an [`OFF_GRID`] lane.
     off_grid: usize,
-    /// `true` under [`Engine::Columnar`]: take the lane fast path when
-    /// the grid allows.
-    columnar: bool,
     states: osp_econ::FastMap<UserId, ShapleyBid>,
 }
 
 impl Solver {
     /// Creates a solver for one optimization of cost `cost > 0`.
     pub fn new(cost: Money) -> crate::Result<Self> {
-        Self::with_capacity(cost, 0)
-    }
-
-    /// Like [`Solver::new`], pre-allocating room for `capacity` bids so
-    /// steady-state operation never reallocates.
-    pub fn with_capacity(cost: Money, capacity: usize) -> crate::Result<Self> {
-        Self::with_capacity_for(cost, capacity, Engine::Incremental)
-    }
-
-    /// Like [`Solver::with_capacity`], choosing the scan strategy from
-    /// `engine`: [`Engine::Columnar`] enables the i64 lane fast path,
-    /// anything else keeps every comparison on the exact [`Money`]
-    /// column.
-    pub fn with_capacity_for(cost: Money, capacity: usize, engine: Engine) -> crate::Result<Self> {
         if !cost.is_positive() {
             return Err(crate::MechanismError::NonPositiveCost {
                 opt: osp_econ::OptId(0),
@@ -404,13 +390,12 @@ impl Solver {
         Ok(Solver {
             cost,
             cost_lane: lane_of(cost),
-            values: Vec::with_capacity(capacity),
-            lanes: Vec::with_capacity(capacity),
-            users: Vec::with_capacity(capacity),
+            values: Vec::new(),
+            lanes: Vec::new(),
+            users: Vec::new(),
             committed_len: 0,
             off_grid: 0,
-            columnar: matches!(engine, Engine::Columnar | Engine::Pipelined),
-            states: osp_econ::FastMap::with_capacity_and_hasher(capacity, Default::default()),
+            states: osp_econ::FastMap::default(),
         })
     }
 
@@ -436,6 +421,12 @@ impl Solver {
     #[must_use]
     pub fn committed_count(&self) -> usize {
         self.committed_len
+    }
+
+    /// `true` while some finite bid lies off the micro-dollar grid, so
+    /// the lane fast path is off and comparisons are exact rationals.
+    pub(crate) fn has_off_grid(&self) -> bool {
+        self.off_grid > 0
     }
 
     /// The committed users, in commitment order.
@@ -544,10 +535,10 @@ impl Solver {
     /// `O(f + a log a)` for `a` updates against `f` finite bids, where
     /// `a` one-at-a-time inserts would pay `O(a·f)` memmove.
     ///
-    /// Under [`Engine::Columnar`] with every bid on the micro grid the
-    /// merge compares `(i64 lane, user)` pairs over the contiguous lane
-    /// column instead of rational cross-products — the batch-merge half
-    /// of the columnar fast path.
+    /// With every bid on the micro grid the merge compares
+    /// `(i64 lane, user)` pairs over the contiguous lane column instead
+    /// of rational cross-products — the batch-merge half of the lane
+    /// fast path.
     ///
     /// Each user may appear **at most once** per batch (the online
     /// mechanisms feed this from a set); a duplicate trips a debug
@@ -613,8 +604,8 @@ impl Solver {
         self.lanes.resize(i + j, 0);
         self.users.resize(i + j, UserId(u32::MAX));
         let mut w = self.values.len();
-        if self.columnar && self.off_grid == 0 && fresh_off_grid == 0 {
-            // Columnar merge: every key is on the micro grid, where
+        if self.off_grid == 0 && fresh_off_grid == 0 {
+            // Lane merge: every key is on the micro grid, where
             // (lane, user) order coincides with (value, user) order, so
             // the merge walks the flat i64 lane column.
             while j > 0 {
@@ -758,8 +749,8 @@ impl Solver {
     }
 
     /// Replaces the whole finite region by merging two sorted runs —
-    /// the splice point of the two-stage slot pipeline
-    /// ([`Engine::Pipelined`]). `batch` is the snapshot stage A
+    /// the splice point of the two-stage slot pipeline that large AddOn
+    /// slots take ([`crate::pipeline`]). `batch` is the snapshot stage A
     /// pre-sorted off the critical path (every user pending at
     /// preparation time, at her advanced residual); `fresh` is the
     /// just-in-time arrivals the snapshot could not know about. One
@@ -865,8 +856,7 @@ impl Solver {
     ///
     /// Allocation-free; the affordability test is the cross-multiplied
     /// `b_k · (c + k) ≥ C`, avoiding a division per candidate `k`.
-    /// Under [`Engine::Columnar`], when every finite bid and the cost
-    /// lie on the micro grid and no product can overflow, the scan runs
+    /// When every finite bid and the cost lie on the micro grid and no product can overflow, the scan runs
     /// through [`osp_econ::column::max_affordable_k`] over the flat
     /// `i64` lane column (cross-multiplying by `10^6` on both sides
     /// keeps the test exact); otherwise it falls back to the identical
@@ -875,8 +865,7 @@ impl Solver {
     pub fn solve(&self) -> Solution {
         let c = self.committed_len;
         let finite_lanes = &self.lanes[c..];
-        let chosen_k = if self.columnar
-            && self.off_grid == 0
+        let chosen_k = if self.off_grid == 0
             && self.cost_lane != OFF_GRID
             && osp_econ::column::scan_products_fit_descending(finite_lanes, c)
         {
@@ -1132,6 +1121,25 @@ mod tests {
     }
 
     #[test]
+    fn engine_serde_keeps_names_and_folds_the_retired_ones() {
+        for engine in [Engine::Incremental, Engine::Rebuild] {
+            let json = serde_json::to_string(&engine).unwrap();
+            assert_eq!(serde_json::from_str::<Engine>(&json).unwrap(), engine);
+        }
+        assert_eq!(
+            serde_json::to_string(&Engine::Incremental).unwrap(),
+            "\"Incremental\""
+        );
+        for retired in ["\"Columnar\"", "\"Pipelined\""] {
+            assert_eq!(
+                serde_json::from_str::<Engine>(retired).unwrap(),
+                Engine::Incremental
+            );
+        }
+        assert!(serde_json::from_str::<Engine>("\"Turbo\"").is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "cannot remove committed")]
     fn solver_remove_committed_panics() {
         let mut solver = Solver::new(m(10)).unwrap();
@@ -1141,29 +1149,27 @@ mod tests {
 
     #[test]
     fn solver_remove_bids_matches_sequential_removes() {
-        for engine in [Engine::Incremental, Engine::Columnar, Engine::Pipelined] {
-            let mut batched = Solver::with_capacity_for(m(10), 0, engine).unwrap();
-            let mut sequential = batched.clone();
-            for u in 0..12u32 {
-                let v = Money::from_cents(i64::from(u % 5) * 37 + 1);
-                batched.update_bid(UserId(u), v);
-                sequential.update_bid(UserId(u), v);
-            }
-            batched.commit(UserId(11));
-            sequential.commit(UserId(11));
-            // Mix of present, absent, and duplicate-value users; absent
-            // users are skipped, same as `remove` returning false.
-            let gone = [UserId(3), UserId(8), UserId(0), UserId(99), UserId(5)];
-            batched.remove_bids(gone);
-            for u in gone {
-                sequential.remove(u);
-            }
-            assert_eq!(batched.len(), sequential.len());
-            for u in 0..12u32 {
-                assert_eq!(batched.bid(UserId(u)), sequential.bid(UserId(u)));
-            }
-            assert_eq!(batched.solve(), sequential.solve());
+        let mut batched = Solver::new(m(10)).unwrap();
+        let mut sequential = batched.clone();
+        for u in 0..12u32 {
+            let v = Money::from_cents(i64::from(u % 5) * 37 + 1);
+            batched.update_bid(UserId(u), v);
+            sequential.update_bid(UserId(u), v);
         }
+        batched.commit(UserId(11));
+        sequential.commit(UserId(11));
+        // Mix of present, absent, and duplicate-value users; absent
+        // users are skipped, same as `remove` returning false.
+        let gone = [UserId(3), UserId(8), UserId(0), UserId(99), UserId(5)];
+        batched.remove_bids(gone);
+        for u in gone {
+            sequential.remove(u);
+        }
+        assert_eq!(batched.len(), sequential.len());
+        for u in 0..12u32 {
+            assert_eq!(batched.bid(UserId(u)), sequential.bid(UserId(u)));
+        }
+        assert_eq!(batched.solve(), sequential.solve());
     }
 
     #[test]
@@ -1258,28 +1264,26 @@ mod tests {
             batch in proptest::collection::btree_map(0u32..12, 0i64..200, 0..12),
         ) {
             let cost = Money::from_cents(cost);
-            for engine in [Engine::Incremental, Engine::Columnar, Engine::Pipelined] {
-                let mut batched = Solver::with_capacity_for(cost, 0, engine).unwrap();
-                for &(u, v) in &initial {
-                    batched.update_bid(UserId(u), Money::from_cents(v));
-                }
-                for &u in &commits {
-                    batched.commit(UserId(u));
-                }
-                let mut sequential = batched.clone();
-                batched.update_bids(
-                    batch.iter().map(|(&u, &v)| (UserId(u), Money::from_cents(v))),
-                );
-                for (&u, &v) in &batch {
-                    sequential.update_bid(UserId(u), Money::from_cents(v));
-                }
-                prop_assert_eq!(&batched.values, &sequential.values);
-                prop_assert_eq!(&batched.lanes, &sequential.lanes);
-                prop_assert_eq!(&batched.users, &sequential.users);
-                prop_assert_eq!(&batched.states, &sequential.states);
-                prop_assert_eq!(batched.committed_len, sequential.committed_len);
-                prop_assert_eq!(batched.off_grid, sequential.off_grid);
+            let mut batched = Solver::new(cost).unwrap();
+            for &(u, v) in &initial {
+                batched.update_bid(UserId(u), Money::from_cents(v));
             }
+            for &u in &commits {
+                batched.commit(UserId(u));
+            }
+            let mut sequential = batched.clone();
+            batched.update_bids(
+                batch.iter().map(|(&u, &v)| (UserId(u), Money::from_cents(v))),
+            );
+            for (&u, &v) in &batch {
+                sequential.update_bid(UserId(u), Money::from_cents(v));
+            }
+            prop_assert_eq!(&batched.values, &sequential.values);
+            prop_assert_eq!(&batched.lanes, &sequential.lanes);
+            prop_assert_eq!(&batched.users, &sequential.users);
+            prop_assert_eq!(&batched.states, &sequential.states);
+            prop_assert_eq!(batched.committed_len, sequential.committed_len);
+            prop_assert_eq!(batched.off_grid, sequential.off_grid);
         }
 
         /// Under arbitrary update/commit/remove/commit-top
@@ -1292,53 +1296,51 @@ mod tests {
             ops in arb_solver_ops(),
         ) {
             let cost = Money::from_cents(cost);
-            for engine in [Engine::Incremental, Engine::Columnar, Engine::Pipelined] {
-                let mut solver = Solver::with_capacity_for(cost, 0, engine).unwrap();
-                let mut model: BTreeMap<UserId, ShapleyBid> = BTreeMap::new();
-                for op in ops.clone() {
-                    match op {
-                        SolverOp::Update(u, v) => {
-                            let user = UserId(u);
-                            let value = Money::from_cents(v);
-                            solver.update_bid(user, value);
-                            // Committed users ignore updates, like the map
-                            // the online mechanisms would feed `run`.
-                            if model.get(&user) != Some(&ShapleyBid::Committed) {
-                                model.insert(user, ShapleyBid::Value(value));
-                            }
-                        }
-                        SolverOp::Commit(u) => {
-                            solver.commit(UserId(u));
-                            model.insert(UserId(u), ShapleyBid::Committed);
-                        }
-                        SolverOp::Remove(u) => {
-                            let user = UserId(u);
-                            if model.get(&user) == Some(&ShapleyBid::Committed) {
-                                continue; // removal of committed users is forbidden
-                            }
-                            prop_assert_eq!(solver.remove(user), model.remove(&user).is_some());
-                        }
-                        SolverOp::SolveAndCommitTop => {
-                            let sol = solver.solve();
-                            let newly: Vec<UserId> =
-                                solver.serviced_finite(&sol).to_vec();
-                            solver.commit_top(sol.serviced_finite);
-                            for u in newly {
-                                model.insert(u, ShapleyBid::Committed);
-                            }
+            let mut solver = Solver::new(cost).unwrap();
+            let mut model: BTreeMap<UserId, ShapleyBid> = BTreeMap::new();
+            for op in ops.clone() {
+                match op {
+                    SolverOp::Update(u, v) => {
+                        let user = UserId(u);
+                        let value = Money::from_cents(v);
+                        solver.update_bid(user, value);
+                        // Committed users ignore updates, like the map
+                        // the online mechanisms would feed `run`.
+                        if model.get(&user) != Some(&ShapleyBid::Committed) {
+                            model.insert(user, ShapleyBid::Value(value));
                         }
                     }
-                    let expected = run(cost, &model);
-                    prop_assert_eq!(solver.outcome(&solver.solve()), expected);
-                    prop_assert_eq!(
-                        solver.committed_count(),
-                        model.values().filter(|b| matches!(b, ShapleyBid::Committed)).count()
-                    );
+                    SolverOp::Commit(u) => {
+                        solver.commit(UserId(u));
+                        model.insert(UserId(u), ShapleyBid::Committed);
+                    }
+                    SolverOp::Remove(u) => {
+                        let user = UserId(u);
+                        if model.get(&user) == Some(&ShapleyBid::Committed) {
+                            continue; // removal of committed users is forbidden
+                        }
+                        prop_assert_eq!(solver.remove(user), model.remove(&user).is_some());
+                    }
+                    SolverOp::SolveAndCommitTop => {
+                        let sol = solver.solve();
+                        let newly: Vec<UserId> =
+                            solver.serviced_finite(&sol).to_vec();
+                        solver.commit_top(sol.serviced_finite);
+                        for u in newly {
+                            model.insert(u, ShapleyBid::Committed);
+                        }
+                    }
                 }
+                let expected = run(cost, &model);
+                prop_assert_eq!(solver.outcome(&solver.solve()), expected);
+                prop_assert_eq!(
+                    solver.committed_count(),
+                    model.values().filter(|b| matches!(b, ShapleyBid::Committed)).count()
+                );
             }
         }
 
-        /// The columnar fast path survives off-grid values: bids that
+        /// The lane fast path survives off-grid values: bids that
         /// leave the micro grid (thirds, sevenths) force the per-entry
         /// exact fallback, and the outcome still matches `run` exactly.
         #[test]
@@ -1347,7 +1349,7 @@ mod tests {
             raw in proptest::collection::vec((0u32..12, 1i64..200, 1usize..8), 0..12),
         ) {
             let cost = Money::from_cents(cost);
-            let mut solver = Solver::with_capacity_for(cost, 0, Engine::Columnar).unwrap();
+            let mut solver = Solver::new(cost).unwrap();
             let mut model: BTreeMap<UserId, ShapleyBid> = BTreeMap::new();
             for (u, v, split) in raw {
                 // split > 1 usually leaves every 10^-k grid.

@@ -44,7 +44,6 @@ use osp_econ::{Ledger, Money, OptId, ResidualTracker, SlotId, UserId};
 
 use crate::error::{MechanismError, Result};
 use crate::game::{SubstOnGame, SubstOnlineBid};
-use crate::pipeline;
 use crate::shapley::{Engine, ShapleyBid, Solution, Solver};
 use crate::substoff::{self, SubstBidMap, TieBreak};
 
@@ -105,14 +104,6 @@ struct BatchScratch {
     /// `dirty[j]`: solver `j` mutated since `solutions[j]` was
     /// computed (bid updates this slot, or users lost to a grant).
     dirty: Vec<bool>,
-    /// [`Engine::Pipelined`] only: `(slot, arrival seeds)` pre-summed by
-    /// the overlap stage for the next slot's reveal. SubstOn has no
-    /// `revise`, and `starts[]` entries are append-only, so the seeds
-    /// are always a valid prefix of the slot's arrivals.
-    seeds: Option<(u32, Vec<(UserId, Money)>)>,
-    /// Fork-threshold override for [`Engine::Pipelined`] (`None` =
-    /// [`pipeline::DEFAULT_FORK_MIN`]; tests pin `Some(0)`).
-    fork_min: Option<usize>,
 }
 
 impl BatchScratch {
@@ -200,9 +191,10 @@ impl SubstOnState {
         engine: Engine,
     ) -> Result<Self> {
         crate::game::validate_costs(&costs)?;
+        crate::check_horizon(horizon)?;
         let solvers = costs
             .iter()
-            .map(|&c| Solver::with_capacity_for(c, 0, engine))
+            .map(|&c| Solver::new(c))
             .collect::<Result<_>>()?;
         Ok(SubstOnState {
             costs,
@@ -228,16 +220,6 @@ impl SubstOnState {
     #[must_use]
     pub fn now(&self) -> SlotId {
         SlotId(self.now)
-    }
-
-    /// Overrides the minimum pending-set size at which
-    /// [`Engine::Pipelined`] forks its residual/ingest stage onto a
-    /// second thread (`None` restores [`pipeline::DEFAULT_FORK_MIN`];
-    /// `Some(0)` forces the fork on every slot — the stress tests use
-    /// this to hammer the handoff on tiny games).
-    #[doc(hidden)]
-    pub fn set_fork_min(&mut self, fork_min: Option<usize>) {
-        self.scratch.fork_min = fork_min;
     }
 
     /// The game horizon `z`.
@@ -363,89 +345,39 @@ impl SubstOnState {
         }
         // Reveal bids whose series starts now; unseen users are skipped
         // entirely (`b'_ij ← 0` prunes them in the paper). Arrivals
-        // seed their running residual (their one full suffix sum —
-        // unless the pipeline's overlap stage pre-summed it while the
-        // previous slot was being priced).
-        let seeds = match self.scratch.seeds.take() {
-            Some((slot, seeds)) if slot == self.now => seeds,
-            _ => Vec::new(),
-        };
+        // seed their running residual (their one full suffix sum).
         if let Some(arrived) = self.starts.remove(&self.now) {
             if self.engine.uses_solver() {
-                debug_assert!(seeds.len() <= arrived.len());
-                for (i, &u) in arrived.iter().enumerate() {
-                    match seeds.get(i) {
-                        Some(&(seeded, residual)) => {
-                            debug_assert_eq!(seeded, u, "seed order drifted from starts[]");
-                            self.residuals.insert_residual(u, residual);
-                        }
-                        None => self.residuals.insert(u, &self.bids[&u].series, t),
-                    }
+                for &u in &arrived {
+                    self.residuals.insert(u, &self.bids[&u].series, t);
                 }
             }
             self.pending.extend(arrived);
         }
 
         // Per-optimization share of this slot's SubstOff run, and the
-        // users granted in this slot's phases. Under the solver engines
-        // the fan-out (which reads the running residuals) runs first;
-        // the phase loop then touches only solvers + scratch + bids, so
-        // `Engine::Pipelined` overlaps it with this slot's residual
-        // retirement and the next slot's arrival seeds (stage A). The
-        // non-forked path runs the phase loop first, then the residual
-        // work — the sequential engine's own order — so fork vs
-        // no-fork is invisible in outcomes.
+        // users granted in this slot's phases. Under the solver engine
+        // the fan-out reads the running residuals, the phase loop
+        // prices, and then slot `t` retires: every still-pending user's
+        // running residual drops by `value_at(t)`. (Users the phase
+        // loop granted are still tracked then; they are removed right
+        // below, value unread.)
         let (shares, newly_assigned): (Vec<Option<Money>>, BTreeMap<UserId, OptId>) =
             if self.engine.uses_solver() {
                 self.fan_out(t);
-                let n = self.costs.len();
-                let arm = self.engine.pipelined() && self.now < self.horizon;
-                // Override forks purely by size (tests pin `Some(0)`);
-                // the default additionally requires a second hardware
-                // thread — on one core the fork is pure overhead.
-                let fork = self.engine.pipelined()
-                    && match self.scratch.fork_min {
-                        Some(min) => self.pending.len() >= min,
-                        None => {
-                            pipeline::multicore()
-                                && self.pending.len() >= pipeline::DEFAULT_FORK_MIN
-                        }
-                    };
-                let next = self.now + 1;
                 let BatchScratch {
                     solutions, dirty, ..
                 } = &mut self.scratch;
-                let solvers = &mut self.solvers[..];
-                let bids = &self.bids;
-                let starts = &self.starts;
-                let residuals = &mut self.residuals;
-                let tiebreak = self.tiebreak;
-                let (seeds_next, result) = pipeline::overlap(
-                    fork,
-                    move || {
-                        // Slot `t` retires: every still-pending user's
-                        // running residual drops by `value_at(t)`.
-                        // (Users the phase loop is granting are still
-                        // tracked here; they are removed right after
-                        // the join, value unread.)
-                        residuals.advance(t, |u| &bids[&u].series);
-                        if !arm {
-                            return None;
-                        }
-                        let seeds: Vec<(UserId, Money)> = starts
-                            .get(&next)
-                            .map(|arrivals| {
-                                arrivals
-                                    .iter()
-                                    .map(|&u| (u, bids[&u].series.residual_from(SlotId(next))))
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        Some((next, seeds))
-                    },
-                    move || phase_loop(n, tiebreak, solvers, solutions, dirty, bids),
+                let result = phase_loop(
+                    self.costs.len(),
+                    self.tiebreak,
+                    &mut self.solvers,
+                    solutions,
+                    dirty,
+                    &self.bids,
                 );
-                self.scratch.seeds = seeds_next;
+                let bids = &self.bids;
+                self.residuals.advance(t, |u| &bids[&u].series);
                 result
             } else {
                 self.phases_rebuild(t)
@@ -493,9 +425,7 @@ impl SubstOnState {
     /// residual into her substitutes' update lists (buffers reused
     /// across opts and slots — zero steady-state allocation) and
     /// drains them into the solvers' batch merges. This is the only
-    /// part of the slot's solving that reads the residual tracker,
-    /// which is what lets [`Engine::Pipelined`] overlap the
-    /// [`phase_loop`] that follows with the residual retirement.
+    /// part of the slot's solving that reads the residual tracker.
     fn fan_out(&mut self, t: SlotId) {
         let n = self.costs.len();
         self.scratch.ensure(n);
@@ -585,9 +515,8 @@ impl SubstOnState {
 /// for the rest. Replicates [`substoff::run_with_bids`] exactly —
 /// including tie-break order and RNG consumption — but grants mutate
 /// the solvers in place instead of rebuilding bid maps. Factored free
-/// of `&mut self` (it never touches the residual tracker or the slot
-/// index maps) so [`Engine::Pipelined`] can run it concurrently with
-/// the residual retirement stage.
+/// of `&mut self`: it never touches the residual tracker or the slot
+/// index maps.
 fn phase_loop(
     n: usize,
     tiebreak: TieBreak,
@@ -939,11 +868,7 @@ mod tests {
             for tiebreak in [TieBreak::LowestOptId, TieBreak::Random(seed)] {
                 let inc = run_with_engine(&game, tiebreak, Engine::Incremental).unwrap();
                 let reb = run_with_engine(&game, tiebreak, Engine::Rebuild).unwrap();
-                let col = run_with_engine(&game, tiebreak, Engine::Columnar).unwrap();
-                let pip = run_with_engine(&game, tiebreak, Engine::Pipelined).unwrap();
                 prop_assert_eq!(&inc, &reb);
-                prop_assert_eq!(&inc, &col);
-                prop_assert_eq!(&inc, &pip);
             }
         }
 
@@ -958,30 +883,31 @@ mod tests {
             let mut reb = SubstOnState::with_engine(
                 game.costs.clone(), game.horizon, TieBreak::LowestOptId, Engine::Rebuild,
             ).unwrap();
-            let mut col = SubstOnState::with_engine(
-                game.costs.clone(), game.horizon, TieBreak::LowestOptId, Engine::Columnar,
-            ).unwrap();
-            let mut pip = SubstOnState::with_engine(
-                game.costs.clone(), game.horizon, TieBreak::LowestOptId, Engine::Pipelined,
-            ).unwrap();
-            // Force the two-thread handoff even on these tiny games.
-            pip.set_fork_min(Some(0));
             for bid in &game.bids {
                 inc.submit(bid.clone()).unwrap();
                 reb.submit(bid.clone()).unwrap();
-                col.submit(bid.clone()).unwrap();
-                pip.submit(bid.clone()).unwrap();
             }
             for _ in 1..=game.horizon {
                 let step = inc.advance().unwrap();
                 prop_assert_eq!(&step, &reb.advance().unwrap());
-                prop_assert_eq!(&step, &col.advance().unwrap());
-                prop_assert_eq!(&step, &pip.advance().unwrap());
             }
             let done = inc.finish().unwrap();
             prop_assert_eq!(&done, &reb.finish().unwrap());
-            prop_assert_eq!(&done, &col.finish().unwrap());
-            prop_assert_eq!(&done, &pip.finish().unwrap());
+        }
+    }
+
+    #[test]
+    fn horizon_above_the_bound_is_a_typed_error() {
+        for engine in [Engine::Incremental, Engine::Rebuild] {
+            let built =
+                SubstOnState::with_engine(vec![m(1)], u32::MAX, TieBreak::LowestOptId, engine);
+            assert!(matches!(
+                built,
+                Err(MechanismError::HorizonTooLong {
+                    horizon: u32::MAX,
+                    ..
+                })
+            ));
         }
     }
 

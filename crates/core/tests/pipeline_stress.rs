@@ -1,12 +1,17 @@
-//! Dedicated stress test for the [`Engine::Pipelined`] ingest/price
-//! handoff.
+//! Dedicated stress test for the production engine's pre-sorted
+//! splice and its ingest/price handoff.
 //!
-//! Every game here runs **three** lockstep states — incremental,
-//! pipelined at its natural fork threshold (tiny games stay on the
-//! sequential path), and pipelined with the threshold pinned to zero
-//! (every slot really forks a scoped worker thread) — and compares
-//! them operation by operation: submit/revise results, per-slot
-//! reports, and final outcomes must all be identical.
+//! Every game here runs **four** lockstep states — the paper-literal
+//! [`Engine::Rebuild`] oracle, the production [`Engine::Incremental`]
+//! on its default policy (slots whose solver holds only on-grid values
+//! keep the plain batch update; armed slots fork from
+//! `pipeline::DEFAULT_FORK_MIN` pending users on a multi-core host),
+//! and the production engine with the gate pinned to zero twice: every
+//! slot arms the splice and really forks onto the worker thread, or
+//! runs both stages on the caller (price, then ingest — the order a
+//! single-core host takes) — and compares them operation by operation:
+//! submit/revise results, per-slot reports, and final outcomes must all
+//! be identical.
 //!
 //! The generator is adversarial about exactly the interleavings the
 //! two-stage split is most likely to get wrong:
@@ -21,7 +26,10 @@
 //!   start, *after* the previous slot's ingest stage prepared its
 //!   seeds, exercising the prepared-batch prefix rule;
 //! - **committed-user extensions** — revising a paying user's exit
-//!   slot so the payment moves.
+//!   slot so the payment moves;
+//! - **crossing the gate** — games whose off-grid pending crowd rises
+//!   past the fork threshold, leaves, and returns (arm → disarm →
+//!   re-arm), with a revision in the slot right after arming.
 //!
 //! Iteration count is `OSP_STRESS_ITERS` (default 48); the nightly CI
 //! job elevates it.
@@ -29,6 +37,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use osp_core::pipeline;
 use osp_core::prelude::*;
 
 fn stress_iters(default: u64) -> u64 {
@@ -38,22 +47,30 @@ fn stress_iters(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The three lockstep states under comparison.
+/// The four lockstep states under comparison.
 struct Lockstep {
-    labels: [&'static str; 3],
+    labels: [&'static str; 4],
     states: Vec<AddOnState>,
 }
 
 impl Lockstep {
     fn new(cost: Money, horizon: u32) -> Self {
         let mut states = vec![
+            AddOnState::with_engine(cost, horizon, Engine::Rebuild).unwrap(),
             AddOnState::with_engine(cost, horizon, Engine::Incremental).unwrap(),
-            AddOnState::with_engine(cost, horizon, Engine::Pipelined).unwrap(),
-            AddOnState::with_engine(cost, horizon, Engine::Pipelined).unwrap(),
+            AddOnState::with_engine(cost, horizon, Engine::Incremental).unwrap(),
+            AddOnState::with_engine(cost, horizon, Engine::Incremental).unwrap(),
         ];
         states[2].set_fork_min(Some(0));
+        states[3].set_fork_min(Some(0));
+        states[3].set_sequential_splice(true);
         Lockstep {
-            labels: ["incremental", "pipelined", "pipelined-forced"],
+            labels: [
+                "rebuild",
+                "production",
+                "production-forced",
+                "production-sequential",
+            ],
             states,
         }
     }
@@ -107,6 +124,20 @@ impl Shadow {
     }
 }
 
+/// `cents / 3` per slot: off the micro-dollar grid, which the default
+/// policy requires before it arms. The cents stay in the shadow as an
+/// upper bound, so revisions generated from it are still upward.
+fn series_thirds(start: u32, cents: &[i64]) -> SlotSeries {
+    SlotSeries::new(
+        SlotId(start),
+        cents
+            .iter()
+            .map(|&c| Money::from_cents(c).split_among(3))
+            .collect(),
+    )
+    .unwrap()
+}
+
 fn series(start: u32, cents: &[i64]) -> SlotSeries {
     SlotSeries::new(
         SlotId(start),
@@ -136,7 +167,7 @@ fn upward_revision(
     (cents.iter().map(|&c| Money::from_cents(c)).collect(), next)
 }
 
-/// One randomized adversarial game, three engines in lockstep.
+/// One randomized adversarial game, four states in lockstep.
 fn stress_game(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let horizon = rng.gen_range(4u32..=12);
@@ -283,4 +314,158 @@ fn same_slot_revise_then_expire_wall() {
             .expect("advance stays within the horizon");
     }
     game.finish();
+}
+
+/// The default fork threshold, in users.
+const GATE: u32 = pipeline::DEFAULT_FORK_MIN as u32;
+
+/// Which side of the gate the production state (default policy) takes
+/// in the slot about to be processed.
+fn production_armed(game: &Lockstep) -> bool {
+    game.states[1].splice_armed()
+}
+
+/// `true` when `armed` (one flag per slot) goes armed → unarmed →
+/// armed again.
+fn arms_disarms_and_rearms(armed: &[bool]) -> bool {
+    let Some(first) = armed.iter().position(|&a| a) else {
+        return false;
+    };
+    let Some(gap) = armed[first..].iter().position(|&a| !a) else {
+        return false;
+    };
+    armed[first + gap..].contains(&true)
+}
+
+/// A wave of `count` low-value users starting at `start` for `len`
+/// slots, too poor to be serviced, so they stay pending until they
+/// expire. Ids start at `first`. Their values are submitted as thirds
+/// of these cents (see [`series_thirds`]).
+fn wave(rng: &mut StdRng, first: u32, count: u32, start: u32, len: u32) -> Vec<(u32, Shadow)> {
+    (first..first + count)
+        .map(|u| {
+            let values = (0..len).map(|_| rng.gen_range(0i64..=60)).collect();
+            (u, Shadow { start, values })
+        })
+        .collect()
+}
+
+/// One game whose off-grid pending crowd crosses the default fork
+/// threshold upward, downward and upward again, under the default
+/// policy:
+///
+/// - a background of on-grid long-lived bidders, a few rich enough to
+///   commit;
+/// - wave 1 (`GATE + GATE / 16` off-grid users) pending in slots 1–3
+///   arms slots 2–4; it expires at 3, so slot 4 splices out its
+///   retirees and disarms;
+/// - wave 2 (`wave2` off-grid users) pending from slot 7 re-arms;
+/// - in the slot right after each arming, a handful of pending users
+///   revise upward (the armed snapshot must be dropped), and
+///   just-in-time arrivals land in armed slots.
+///
+/// Returns the production state's armed flag per slot.
+fn crossing_game(seed: u64, wave2: u32) -> Vec<bool> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let horizon = 12u32;
+    let mut game = Lockstep::new(Money::from_dollars(300), horizon);
+    let mut shadows: Vec<(u32, Shadow)> = (0..24u32)
+        .map(|u| {
+            let start = rng.gen_range(1..=6);
+            let len = rng.gen_range(4..=horizon - start + 1);
+            let high = if u % 6 == 0 { 9_000 } else { 900 };
+            let values = (0..len).map(|_| rng.gen_range(100i64..=high)).collect();
+            (u, Shadow { start, values })
+        })
+        .collect();
+    shadows.extend(wave(&mut rng, 10_000, GATE + GATE / 16, 1, 3));
+    shadows.extend(wave(&mut rng, 20_000, wave2, 7, 4));
+    // A few just-in-time arrivals per slot, submitted in the slot they
+    // start; everyone else is submitted before slot 1.
+    shadows.extend(
+        (0..horizon)
+            .flat_map(|t| [(3_000 + 2 * t, t + 1), (3_001 + 2 * t, t + 1)])
+            .map(|(u, start)| {
+                let len = rng.gen_range(1..=horizon - start + 1);
+                let values = (0..len).map(|_| rng.gen_range(0i64..=2_000)).collect();
+                (u, Shadow { start, values })
+            }),
+    );
+    let jit = |u: u32| (3_000..10_000).contains(&u);
+    for (u, shadow) in shadows.iter().filter(|(u, _)| !jit(*u)) {
+        let values = if *u >= 10_000 {
+            series_thirds(shadow.start, &shadow.values)
+        } else {
+            series(shadow.start, &shadow.values)
+        };
+        let bid = OnlineBid::new(UserId(*u), values);
+        game.apply(&format!("submit u{u}"), |s| s.submit(bid.clone()))
+            .expect("submit must be valid");
+    }
+    let mut armed = Vec::new();
+    let mut armed_before = false;
+    for t in 1..=horizon {
+        for (u, shadow) in shadows.iter().filter(|(u, s)| jit(*u) && s.start == t) {
+            let bid = OnlineBid::new(UserId(*u), series(t, &shadow.values));
+            game.apply(&format!("jit submit u{u} at t{t}"), |s| {
+                s.submit(bid.clone())
+            })
+            .expect("jit submit must be valid");
+        }
+        let now_armed = production_armed(&game);
+        if now_armed && !armed_before {
+            // The slot right after arming: three live users revise
+            // upward, which must drop the armed snapshot.
+            let mut revised = 0;
+            for _ in 0..1_000 {
+                let pick = rng.gen_range(0..shadows.len());
+                let (u, shadow) = &shadows[pick];
+                if shadow.start > t || shadow.end() < t {
+                    continue;
+                }
+                let (values, next) = upward_revision(&mut rng, shadow, t, horizon);
+                let u = *u;
+                game.apply(&format!("post-arm revise u{u} at t{t}"), |s| {
+                    s.revise(UserId(u), SlotId(t), values.clone())
+                })
+                .expect("upward revision must be valid");
+                shadows[pick].1 = next;
+                revised += 1;
+                if revised == 3 {
+                    break;
+                }
+            }
+            assert_eq!(revised, 3, "no live users to revise at t{t}");
+            assert!(
+                !production_armed(&game),
+                "a revision must drop the armed snapshot (t{t})"
+            );
+        }
+        armed_before = now_armed;
+        armed.push(production_armed(&game));
+        game.apply(&format!("advance t{t}"), |s| s.advance())
+            .expect("advance stays within the horizon");
+    }
+    game.finish();
+    armed
+}
+
+/// The deterministic crossing: arm → disarm → re-arm under the default
+/// policy, lock-step equal to the rebuild oracle.
+#[test]
+fn default_gate_arms_disarms_and_rearms() {
+    let armed = crossing_game(0x6a7e, GATE + GATE / 16);
+    assert!(
+        arms_disarms_and_rearms(&armed),
+        "the game must cross the gate both ways: {armed:?}"
+    );
+}
+
+/// Randomized crossings: second-wave sizes straddling the gate.
+#[test]
+fn gate_crossings_survive_random_waves() {
+    for seed in 0..stress_iters(48).div_ceil(16) {
+        let wave2 = GATE * 7 / 8 + (seed as u32 * 137) % (GATE * 3 / 8);
+        crossing_game(0x0c40_55e5 ^ seed, wave2);
+    }
 }

@@ -191,16 +191,11 @@ impl Registry {
             None => self.engine,
             Some("incremental") => Engine::Incremental,
             Some("rebuild") => Engine::Rebuild,
-            Some("columnar") => Engine::Columnar,
-            Some("pipelined") => Engine::Pipelined,
             Some(other) => {
                 return Response::error(
                     id,
                     "bad_create",
-                    format!(
-                        "unknown engine {other:?} (expected incremental, rebuild, \
-                         columnar, or pipelined)"
-                    ),
+                    format!("unknown engine {other:?} (expected incremental or rebuild)"),
                 )
             }
         };

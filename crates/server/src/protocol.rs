@@ -85,9 +85,9 @@ pub enum Op {
         /// Per-optimization costs as decimal strings (exactly one for
         /// the additive mechanisms).
         costs: Vec<String>,
-        /// Shapley engine override: `"incremental"`, `"rebuild"`,
-        /// `"columnar"`, or `"pipelined"` (defaults to the server's
-        /// engine).
+        /// Shapley engine override: `"incremental"` (the production
+        /// engine) or `"rebuild"` (the paper-literal oracle); defaults
+        /// to the server's engine.
         #[serde(default)]
         engine: Option<String>,
         /// Substitutable tie-break seed; omitted means the
@@ -389,6 +389,7 @@ pub fn error_code(err: &MechanismError) -> &'static str {
         MechanismError::RetroactiveBid { .. } => "retroactive_bid",
         MechanismError::DownwardRevision { .. } => "downward_revision",
         MechanismError::BeyondHorizon { .. } => "beyond_horizon",
+        MechanismError::HorizonTooLong { .. } => "bad_create",
         MechanismError::HorizonExhausted { .. } => "horizon_exhausted",
         MechanismError::EmptySubstituteSet { .. } => "empty_substitutes",
         MechanismError::Schedule(_) => "bad_series",

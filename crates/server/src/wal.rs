@@ -96,6 +96,28 @@ pub fn is_logged(op: &Op) -> bool {
     )
 }
 
+/// Engine names `create` accepted before the columnar and pipelined
+/// engines folded into the production engine. Live requests reject
+/// them, but a log written earlier may still carry them.
+const RETIRED_ENGINES: [&str; 2] = ["columnar", "pipelined"];
+
+/// The operation replay applies for a logged `op`: a `create` that
+/// names a retired engine re-creates its game on `incremental`, which
+/// prices identically, so the game and every later record for it
+/// recover instead of failing as `bad_create` / unknown game.
+fn replayable(op: &Op) -> Op {
+    let mut op = op.clone();
+    if let Op::Create {
+        engine: Some(name), ..
+    } = &mut op
+    {
+        if RETIRED_ENGINES.contains(&name.as_str()) {
+            *name = "incremental".to_owned();
+        }
+    }
+    op
+}
+
 /// Typed failure opening or scanning a WAL segment.
 ///
 /// The two corruption shapes recovery must never paper over — a
@@ -588,7 +610,7 @@ impl ShardDurability {
             // mechanism (a poisoned op) is skipped with a warning so
             // one bad event cannot wedge recovery forever.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                registry.handle(record.id, record.op.clone());
+                registry.handle(record.id, replayable(&record.op));
             }));
             if outcome.is_err() {
                 eprintln!(

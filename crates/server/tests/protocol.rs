@@ -3,6 +3,7 @@
 //! with non-empty queues.
 
 use osp_core::prelude::Engine;
+use osp_server::game::{decode_snapshot, FinalOutcome, GameState};
 use osp_server::protocol::{GameId, Mechanism, Op, Reply, Request, Response, SnapshotDoc};
 use osp_server::ShardPool;
 
@@ -170,7 +171,7 @@ fn bad_creates_and_bad_amounts_are_rejected() {
 #[test]
 fn every_engine_override_is_accepted_and_prices_identically() {
     let pool = pool();
-    let engines = ["incremental", "rebuild", "columnar", "pipelined"];
+    let engines = ["incremental", "rebuild"];
     for (g, name) in engines.iter().enumerate() {
         let game = g as u64 + 1;
         assert!(
@@ -516,4 +517,199 @@ fn shutdown_with_non_empty_queues_drains_every_request() {
     assert_eq!(stats.iter().map(|s| s.events).sum::<u64>(), id);
     assert_eq!(stats.iter().map(|s| s.games).sum::<u64>(), 60);
     assert!(stats.iter().all(|s| s.queue_depth == 0));
+}
+
+#[test]
+fn retired_engine_names_and_oversized_horizons_are_bad_creates() {
+    let pool = pool();
+    let create = |id: u64, mechanism: Mechanism, horizon: u32, engine: Option<&str>| {
+        let costs = if mechanism.is_subst() {
+            vec!["10".into(), "7".into()]
+        } else {
+            vec!["10".into()]
+        };
+        pool.call(req(
+            id,
+            Op::Create {
+                game: GameId(id),
+                mechanism,
+                horizon,
+                costs,
+                engine: engine.map(str::to_string),
+                seed: None,
+            },
+        ))
+    };
+    // The engines folded into `incremental` are no longer wire names;
+    // the error lists the two that are.
+    for (id, retired) in [(1, "columnar"), (2, "pipelined")] {
+        let response = create(id, Mechanism::AddOn, 3, Some(retired));
+        assert_eq!(error_code_of(&response), "bad_create");
+        match &response.reply {
+            Reply::Error { message, .. } => {
+                assert!(
+                    message.contains("incremental") && message.contains("rebuild"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+    // A horizon past the bound is refused before anything is sized for
+    // it, on both online mechanisms.
+    let max = osp_core::MAX_HORIZON;
+    for (id, mechanism, horizon) in [
+        (3, Mechanism::AddOn, u32::MAX),
+        (4, Mechanism::AddOn, max + 1),
+        (5, Mechanism::SubstOn, u32::MAX),
+    ] {
+        let response = create(id, mechanism, horizon, None);
+        assert_eq!(
+            error_code_of(&response),
+            "bad_create",
+            "{mechanism:?} {horizon}"
+        );
+    }
+    // None of the rejects registered a game, and the bound itself is
+    // accepted.
+    assert!(matches!(
+        create(4, Mechanism::AddOn, max, None).reply,
+        Reply::Created { .. }
+    ));
+    let _ = pool.shutdown();
+}
+
+/// The report inside a `slot` / `subst_slot` reply, without the game id.
+fn tick_report(pool: &ShardPool, id: u64, game: u64, slot: u32) -> serde_json::Value {
+    let reply = pool
+        .call(req(
+            id,
+            Op::Tick {
+                game: GameId(game),
+                slot: Some(slot),
+            },
+        ))
+        .reply;
+    let value = serde_json::to_value(&reply).unwrap();
+    ["slot", "subst_slot"]
+        .iter()
+        .find_map(|kind| value.get(kind).and_then(|inner| inner.get("report")))
+        .cloned()
+        .unwrap_or_else(|| panic!("expected a slot reply, got {reply:?}"))
+}
+
+fn final_outcome(pool: &ShardPool, id: u64, game: u64) -> FinalOutcome {
+    let doc = match pool
+        .call(req(id, Op::Snapshot { game: GameId(game) }))
+        .reply
+    {
+        Reply::Snapshot { doc, .. } => doc,
+        other => panic!("expected a snapshot, got {other:?}"),
+    };
+    match decode_snapshot(&doc).expect("snapshot decodes") {
+        GameState::Add(state) => FinalOutcome::Add(state.finish().expect("finished game")),
+        GameState::Subst(state) => FinalOutcome::Subst(state.finish().expect("finished game")),
+    }
+}
+
+/// Snapshot documents recorded before the lane scan and the AddOn slot
+/// pipeline folded into the production engine carry `"engine":
+/// "Columnar"` or `"Pipelined"` (and a solver `columnar` flag). They
+/// still restore, as the production engine, and finish exactly like the
+/// rebuild oracle playing the same game.
+#[test]
+fn snapshots_recorded_under_retired_engine_names_restore() {
+    let recorded: Vec<serde_json::Value> =
+        serde_json::from_str(include_str!("fixtures/retired_engine_snapshots.json")).unwrap();
+    assert_eq!(recorded.len(), 4);
+    // The games the fixtures were recorded from, after slot 1.
+    let addon_bids: [(u32, u32, &[&str], &[u32]); 4] = [
+        (0, 1, &["6", "6", "6"], &[]),
+        (1, 1, &["5", "4", "3"], &[]),
+        (2, 2, &["1.5", "2.25", "3"], &[]),
+        (3, 3, &["2", "2"], &[]),
+    ];
+    let subst_bids: [(u32, u32, &[&str], &[u32]); 4] = [
+        (0, 1, &["4", "4"], &[0, 1]),
+        (1, 1, &["3", "3", "3"], &[1]),
+        (2, 2, &["6", "1"], &[0]),
+        (3, 2, &["2.5", "2.5", "2.5"], &[0, 1]),
+    ];
+    let pool = pool();
+    for (k, entry) in recorded.iter().enumerate() {
+        let engine = entry["engine"].as_str().unwrap();
+        let doc: SnapshotDoc = serde_json::from_value(entry["doc"].clone()).unwrap();
+        assert!(
+            serde_json::to_string(&entry["doc"])
+                .unwrap()
+                .contains(&format!("\"engine\":\"{engine}\"")),
+            "fixture {k} must carry its retired engine name"
+        );
+        let subst = doc.mechanism.is_subst();
+        let (restored, oracle) = (100 + 2 * k as u64, 101 + 2 * k as u64);
+        let base = 1_000 * (k as u64 + 1);
+        assert!(matches!(
+            pool.call(req(
+                base,
+                Op::Restore {
+                    game: GameId(restored),
+                    doc
+                }
+            ))
+            .reply,
+            Reply::Restored { .. }
+        ));
+        assert!(matches!(
+            pool.call(req(
+                base + 1,
+                Op::Create {
+                    game: GameId(oracle),
+                    mechanism: if subst {
+                        Mechanism::SubstOn
+                    } else {
+                        Mechanism::AddOn
+                    },
+                    horizon: 4,
+                    costs: if subst {
+                        vec!["10".into(), "7".into()]
+                    } else {
+                        vec!["10".into()]
+                    },
+                    engine: Some("rebuild".into()),
+                    seed: None,
+                },
+            ))
+            .reply,
+            Reply::Created { .. }
+        ));
+        let bids = if subst { &subst_bids } else { &addon_bids };
+        for &(user, start, values, substitutes) in bids {
+            let response = pool.call(req(
+                base + 10 + u64::from(user),
+                Op::Arrive {
+                    game: GameId(oracle),
+                    user,
+                    start,
+                    values: values.iter().map(|v| (*v).to_string()).collect(),
+                    substitutes: substitutes.to_vec(),
+                },
+            ));
+            assert!(matches!(response.reply, Reply::Submitted { .. }));
+        }
+        tick_report(&pool, base + 20, oracle, 1);
+        for t in 2..=4u32 {
+            let id = base + 30 + 2 * u64::from(t);
+            assert_eq!(
+                tick_report(&pool, id, restored, t),
+                tick_report(&pool, id + 1, oracle, t),
+                "{engine} fixture {k}: slot {t} diverged from rebuild"
+            );
+        }
+        assert_eq!(
+            final_outcome(&pool, base + 50, restored),
+            final_outcome(&pool, base + 51, oracle),
+            "{engine} fixture {k}"
+        );
+    }
+    let _ = pool.shutdown();
 }

@@ -384,3 +384,56 @@ fn an_in_memory_pool_survives_a_panic_but_forfeits_the_shards_games() {
     assert_eq!(stats[0].games, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A log written before the columnar and pipelined engines folded into
+/// the production engine holds `create` records naming them. Live
+/// `create` now rejects both names, but replay must still re-create
+/// those games (on `incremental`, which prices identically) so every
+/// later arrive, revise and tick for them applies and the recovered
+/// games finish equal to the rebuild oracle.
+#[test]
+fn a_log_naming_retired_engines_recovers_every_game() {
+    let cfg = ScriptConfig::smoke(12);
+    let requests = script::generate(&cfg);
+    let oracle = script::oracle(&requests, Engine::Rebuild, 1);
+    let dir = temp_dir("retired-engines");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+
+    let snapshot_split = requests
+        .iter()
+        .position(|r| matches!(r.op, Op::Snapshot { .. }))
+        .expect("trace ends with snapshots");
+    let (mut segment, scanned) =
+        osp_server::wal::Segment::open(&dir.join("shard-0.wal")).expect("fresh segment");
+    assert!(scanned.records.is_empty());
+    let mut retired = 0;
+    for request in &requests[..snapshot_split] {
+        let mut op = request.op.clone();
+        if let Op::Create { engine, .. } = &mut op {
+            *engine = Some(["columnar", "pipelined"][retired % 2].to_owned());
+            retired += 1;
+        }
+        if osp_server::wal::is_logged(&op) {
+            segment.append(request.id, &op).expect("append");
+        }
+    }
+    drop(segment);
+    assert!(retired >= 2, "both retired names are logged");
+
+    let pool = durable_pool(&dir, 1, 0, None);
+    let (snapshots, retries) = drive_with_retry(&pool, &requests[snapshot_split..]);
+    assert_eq!(retries, 0, "no faults, no retries");
+    assert_matches_oracle(&snapshots, &oracle.responses[snapshot_split..]);
+    // Every game the oracle hosts (created or restored) came back.
+    let hosted = requests[..snapshot_split]
+        .iter()
+        .zip(&oracle.responses)
+        .filter(|(r, resp)| {
+            matches!(r.op, Op::Create { .. } | Op::Restore { .. })
+                && !matches!(resp.reply, Reply::Error { .. })
+        })
+        .count() as u64;
+    let stats = pool.shutdown();
+    assert_eq!(stats.iter().map(|s| s.games).sum::<u64>(), hosted);
+    let _ = std::fs::remove_dir_all(&dir);
+}

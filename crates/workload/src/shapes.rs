@@ -76,10 +76,6 @@ impl TraceSource for Uniform {
     fn bench_regret(&self) -> bool {
         true
     }
-
-    fn bench_columnar(&self) -> bool {
-        true
-    }
 }
 
 /// Long-lived bids spanning 109 of 120 slots, cost scaled with the
@@ -122,13 +118,6 @@ impl TraceSource for LongLived {
         } else {
             vec![1_000, 10_000]
         }
-    }
-
-    // Off-grid per-slot values (see `wire_safe`), so the columnar
-    // engine runs its per-entry exact fallback here — measured to
-    // prove the fallback does not regress the off-grid workloads.
-    fn bench_columnar(&self) -> bool {
-        true
     }
 }
 
@@ -227,10 +216,6 @@ impl TraceSource for ZipfValues {
             users: user_specs,
         };
         normalize_additive(scenario, Vec::new())
-    }
-
-    fn bench_columnar(&self) -> bool {
-        true
     }
 }
 

@@ -11,7 +11,7 @@
 //!   `BENCH_mechanisms.json`;
 //! * the differential oracle harness (`osp_bench::differential` +
 //!   `tests/differential.rs`) replays every registered source through
-//!   the Incremental, Rebuild, and Columnar engines slot by slot;
+//!   the production and Rebuild engines slot by slot;
 //! * `osp_bench::server_load` turns sources into wire-protocol traces
 //!   for the sharded server;
 //! * `osp workloads` and `bench_json --list-workloads` list them.
@@ -216,13 +216,6 @@ pub trait TraceSource: Sync {
     fn bench_regret(&self) -> bool {
         false
     }
-
-    /// `true` when the perf suite should also measure the columnar
-    /// lane engine on this source (the headline hot-loop workloads;
-    /// the differential oracle covers *every* source regardless).
-    fn bench_columnar(&self) -> bool {
-        false
-    }
 }
 
 /// Every registered source, in listing order. Adding a workload means
@@ -340,12 +333,7 @@ mod tests {
     fn play_rejects_nothing_on_every_registered_source() {
         for source in registry() {
             let trace = source.sample(12, 7);
-            for engine in [
-                Engine::Incremental,
-                Engine::Rebuild,
-                Engine::Columnar,
-                Engine::Pipelined,
-            ] {
+            for engine in [Engine::Incremental, Engine::Rebuild] {
                 trace
                     .play(engine, TieBreak::LowestOptId)
                     .unwrap_or_else(|e| panic!("{}: {e}", source.name()));

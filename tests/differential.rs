@@ -1,6 +1,7 @@
 //! The standing differential oracle: randomized long-horizon games
-//! through the Incremental, Rebuild, and Columnar engines must agree
-//! slot by slot on grants, prices, payments, and final ledger totals.
+//! through the production engine (AddOn also with its splice gate
+//! pinned to zero) and the Rebuild oracle must agree slot by slot on
+//! grants, prices, payments, and final ledger totals.
 //!
 //! The game scripts live in [`osp_bench::differential`]; this wrapper
 //! drives them under proptest. Each proptest case runs
@@ -77,8 +78,8 @@ proptest! {
     }
 
     /// Every registered workload source — synthetic shapes and the
-    /// cloudsim/astro adapters alike — replays through all three
-    /// engines with identical results. One game per source per case: the
+    /// cloudsim/astro adapters alike — replays through the whole
+    /// differential roster with identical results. One game per source per case: the
     /// default 64 cases give every source 64 games per run (PR-gate
     /// floor: 16), and the nightly deep job thousands.
     #[test]
