@@ -484,38 +484,7 @@ pub fn trace_differential(trace: &Trace, tiebreak: TieBreak) -> Result<(), Strin
             audit::check_addon_outcome(&outcomes[0]).map_err(|e| format!("audit failed: {e}"))
         }
         Trace::Subst { scenario } => {
-            let mut states = subston_states(&scenario.costs, scenario.horizon, tiebreak)?;
-            let mut arrivals = scenario.users.iter().peekable();
-            for now in 1..=scenario.horizon {
-                while let Some(spec) = arrivals.next_if(|u| u.series.start().index() <= now) {
-                    let bid = SubstOnlineBid {
-                        user: spec.user,
-                        substitutes: spec.substitutes.iter().copied().collect(),
-                        series: spec.series.clone(),
-                    };
-                    let results: Vec<_> =
-                        states.iter_mut().map(|s| s.submit(bid.clone())).collect();
-                    check_agree("submit", now, &results)?;
-                    results
-                        .into_iter()
-                        .next()
-                        .unwrap()
-                        .map_err(|e| format!("trace submit rejected at slot {now}: {e}"))?;
-                }
-                let reports: Vec<_> = states.iter_mut().map(SubstOnState::advance).collect();
-                check_agree("slot report", now, &reports)?;
-                reports
-                    .into_iter()
-                    .next()
-                    .unwrap()
-                    .map_err(|e| format!("advance failed at slot {now}: {e}"))?;
-            }
-            let outcomes = states
-                .into_iter()
-                .map(SubstOnState::finish)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("finish failed: {e}"))?;
-            check_agree("final outcome", scenario.horizon, &outcomes)?;
+            let outcomes = subston_trace_lockstep(scenario, tiebreak)?;
             let ledgers: Vec<(Money, Money)> = outcomes
                 .iter()
                 .map(|o| {
@@ -527,6 +496,50 @@ pub fn trace_differential(trace: &Trace, tiebreak: TieBreak) -> Result<(), Strin
             audit::check_subston_outcome(&outcomes[0]).map_err(|e| format!("audit failed: {e}"))
         }
     }
+}
+
+/// Replays a SubstOn scenario through the SubstOn roster in lockstep:
+/// every submit must be accepted, and every slot report and the final
+/// outcome must agree. Returns the (identical) outcomes, one per
+/// roster entry. Unlike [`trace_differential`] it sums no payments, so
+/// it also takes games whose many distinct share denominators overflow
+/// an exact `Money` total.
+pub fn subston_trace_lockstep(
+    scenario: &osp_workload::SubstScenario,
+    tiebreak: TieBreak,
+) -> Result<Vec<SubstOnOutcome>, String> {
+    let mut states = subston_states(&scenario.costs, scenario.horizon, tiebreak)?;
+    let mut arrivals = scenario.users.iter().peekable();
+    for now in 1..=scenario.horizon {
+        while let Some(spec) = arrivals.next_if(|u| u.series.start().index() <= now) {
+            let bid = SubstOnlineBid {
+                user: spec.user,
+                substitutes: spec.substitutes.iter().copied().collect(),
+                series: spec.series.clone(),
+            };
+            let results: Vec<_> = states.iter_mut().map(|s| s.submit(bid.clone())).collect();
+            check_agree("submit", now, &results)?;
+            results
+                .into_iter()
+                .next()
+                .unwrap()
+                .map_err(|e| format!("trace submit rejected at slot {now}: {e}"))?;
+        }
+        let reports: Vec<_> = states.iter_mut().map(SubstOnState::advance).collect();
+        check_agree("slot report", now, &reports)?;
+        reports
+            .into_iter()
+            .next()
+            .unwrap()
+            .map_err(|e| format!("advance failed at slot {now}: {e}"))?;
+    }
+    let outcomes = states
+        .into_iter()
+        .map(SubstOnState::finish)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("finish failed: {e}"))?;
+    check_agree("final outcome", scenario.horizon, &outcomes)?;
+    Ok(outcomes)
 }
 
 #[cfg(test)]

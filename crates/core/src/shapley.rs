@@ -535,10 +535,13 @@ impl Solver {
     /// `O(f + a log a)` for `a` updates against `f` finite bids, where
     /// `a` one-at-a-time inserts would pay `O(a·f)` memmove.
     ///
-    /// With every bid on the micro grid the merge compares
-    /// `(i64 lane, user)` pairs over the contiguous lane column instead
-    /// of rational cross-products — the batch-merge half of the lane
-    /// fast path.
+    /// When every fresh value lies on the micro grid the batch is
+    /// sorted on `(i64 lane, user)` instead of `(Money, user)` — on the
+    /// grid the two orders coincide (invariant 2) — and when the whole
+    /// finite region is on the grid as well, the merge compares lane
+    /// pairs over the contiguous lane column instead of rational
+    /// cross-products. A batch holding any off-grid value keeps the
+    /// exact `Money` sort and merge.
     ///
     /// Each user may appear **at most once** per batch (the online
     /// mechanisms feed this from a set); a duplicate trips a debug
@@ -595,9 +598,14 @@ impl Solver {
             return;
         }
         // Merge the sorted batch into the sorted finite region from the
-        // back (largest write index = smallest value).
-        fresh.sort_unstable_by_key(|&(value, _, user)| std::cmp::Reverse((value, user)));
+        // back (largest write index = smallest value). An all-on-grid
+        // batch sorts on its i64 lanes: the same order, no rationals.
         let fresh_off_grid = fresh.iter().filter(|&&(_, l, _)| l == OFF_GRID).count();
+        if fresh_off_grid == 0 {
+            fresh.sort_unstable_by_key(|&(_, lane, user)| std::cmp::Reverse((lane, user)));
+        } else {
+            fresh.sort_unstable_by_key(|&(value, _, user)| std::cmp::Reverse((value, user)));
+        }
         let mut i = self.values.len();
         let mut j = fresh.len();
         self.values.resize(i + j, Money::ZERO);
@@ -642,6 +650,14 @@ impl Solver {
             }
         }
         self.off_grid += fresh_off_grid;
+        debug_assert!(
+            self.values[c..]
+                .iter()
+                .zip(&self.users[c..])
+                .zip(self.values[c + 1..].iter().zip(&self.users[c + 1..]))
+                .all(|(a, b)| a > b),
+            "finite region must stay strictly descending by (value, user)"
+        );
     }
 
     /// Forces `user` into the serviced set forever (`b = ∞`). Users
@@ -674,6 +690,10 @@ impl Solver {
     /// Removes `user`'s finite bid (e.g. an expired, never-serviced
     /// bidder). Returns `false` when the user had no bid.
     ///
+    /// Each call shifts the tail of all three columns (`O(f)` memmove),
+    /// so callers dropping several users from one solver should pass
+    /// them to [`Solver::remove_bids`], which pays one pass for all.
+    ///
     /// # Panics
     /// Panics if `user` is committed — committed users can never leave
     /// the serviced set (Mechanism 2 line 5).
@@ -700,12 +720,13 @@ impl Solver {
     /// `O(f + r log r)` for `r` removals against `f` finite bids, where
     /// `r` one-at-a-time `Vec::remove`s would pay `O(r·f)` memmove
     /// (three columns' worth). Users without a bid are skipped, same
-    /// as [`Solver::remove`] returning `false`.
+    /// as [`Solver::remove`] returning `false`; the return value is the
+    /// number of bids actually removed.
     ///
     /// # Panics
     /// Panics if any user is committed — committed users can never
     /// leave the serviced set (Mechanism 2 line 5).
-    pub fn remove_bids<I>(&mut self, users: I)
+    pub fn remove_bids<I>(&mut self, users: I) -> usize
     where
         I: IntoIterator<Item = UserId>,
     {
@@ -723,7 +744,7 @@ impl Solver {
             }
         }
         if stale.is_empty() {
-            return;
+            return 0;
         }
         // Same single-pass compaction as `update_bids`' stale sweep:
         // both lists share the descending sort order.
@@ -746,6 +767,7 @@ impl Solver {
         self.values.truncate(write);
         self.lanes.truncate(write);
         self.users.truncate(write);
+        stale.len()
     }
 
     /// Replaces the whole finite region by merging two sorted runs —
@@ -1201,6 +1223,25 @@ mod tests {
         )
     }
 
+    /// Strategy: an on-grid bid, skewed towards zero and towards a
+    /// handful of lanes that many users share.
+    fn arb_on_grid_value() -> impl Strategy<Value = Money> {
+        prop_oneof![
+            1 => Just(Money::ZERO),
+            3 => (0i64..4).prop_map(Money::from_cents),
+            2 => (0i64..200).prop_map(Money::from_cents),
+        ]
+    }
+
+    /// Strategy: an on-grid bid or, one time in four, an off-grid one
+    /// (a cent amount split three to seven ways).
+    fn arb_mixed_value() -> impl Strategy<Value = Money> {
+        prop_oneof![
+            3 => arb_on_grid_value(),
+            1 => (1i64..200, 3usize..8).prop_map(|(c, k)| Money::from_cents(c).split_among(k)),
+        ]
+    }
+
     /// Strategy: games with small integer cents to hit ties and
     /// thresholds often.
     fn arb_game() -> impl Strategy<Value = (Money, BTreeMap<UserId, ShapleyBid>)> {
@@ -1277,6 +1318,42 @@ mod tests {
             );
             for (&u, &v) in &batch {
                 sequential.update_bid(UserId(u), Money::from_cents(v));
+            }
+            prop_assert_eq!(&batched.values, &sequential.values);
+            prop_assert_eq!(&batched.lanes, &sequential.lanes);
+            prop_assert_eq!(&batched.users, &sequential.users);
+            prop_assert_eq!(&batched.states, &sequential.states);
+            prop_assert_eq!(batched.committed_len, sequential.committed_len);
+            prop_assert_eq!(batched.off_grid, sequential.off_grid);
+        }
+
+        /// The batch sort keys on `(lane, user)` when every fresh value
+        /// is on the micro grid and on `(Money, user)` otherwise; both
+        /// must leave every column exactly as one-at-a-time updates do.
+        /// Batches are all on-grid (tied values, zero bids, one lane
+        /// shared by many users) or mixed with off-grid values, over
+        /// solvers that may already hold off-grid bids.
+        #[test]
+        fn lane_keyed_batch_sort_equals_single_updates(
+            cost in 1i64..400,
+            initial in proptest::collection::vec((0u32..40, arb_mixed_value()), 0..24),
+            commits in proptest::collection::vec(0u32..40, 0..4),
+            batch in prop_oneof![
+                proptest::collection::btree_map(0u32..40, arb_on_grid_value(), 0..32),
+                proptest::collection::btree_map(0u32..40, arb_mixed_value(), 0..32),
+            ],
+        ) {
+            let mut batched = Solver::new(Money::from_cents(cost)).unwrap();
+            for &(u, v) in &initial {
+                batched.update_bid(UserId(u), v);
+            }
+            for &u in &commits {
+                batched.commit(UserId(u));
+            }
+            let mut sequential = batched.clone();
+            batched.update_bids(batch.iter().map(|(&u, &v)| (UserId(u), v)));
+            for (&u, &v) in &batch {
+                sequential.update_bid(UserId(u), v);
             }
             prop_assert_eq!(&batched.values, &sequential.values);
             prop_assert_eq!(&batched.lanes, &sequential.lanes);

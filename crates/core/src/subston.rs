@@ -58,46 +58,78 @@ pub struct SubstSlotReport {
     pub payments: Vec<(UserId, Money)>,
 }
 
-/// Reusable scratch of the batched multi-opt phase loop: per-opt
-/// update buckets plus a cross-slot solution cache, all allocated once
-/// and reused for every slot of the game.
+/// This slot's pending users, one row each in id order: her running
+/// residual and her substitute set, written once by the fan-out. The
+/// per-opt update buckets hold row numbers into it, and the phase loop
+/// finds a grantee's substitutes here by a binary search over one
+/// contiguous array rather than a lookup in the game-wide bid map.
+#[derive(Debug, Clone, Default)]
+struct SlotTable {
+    users: Vec<UserId>,
+    residuals: Vec<Money>,
+    /// `ends[row]`: the end of the row's substitute run in `opts`; the
+    /// run starts where the previous row's ends.
+    ends: Vec<u32>,
+    /// Every row's substitute set, run after run.
+    opts: Vec<OptId>,
+}
+
+impl SlotTable {
+    fn clear(&mut self) {
+        self.users.clear();
+        self.residuals.clear();
+        self.ends.clear();
+        self.opts.clear();
+    }
+
+    /// Appends a row for `user`, who must sort after every listed
+    /// user, and returns its number.
+    fn push(&mut self, user: UserId, residual: Money, substitutes: &BTreeSet<OptId>) -> u32 {
+        debug_assert!(self.users.last().is_none_or(|&last| last < user));
+        let row = u32::try_from(self.users.len()).unwrap();
+        self.users.push(user);
+        self.residuals.push(residual);
+        self.opts.extend(substitutes);
+        self.ends.push(u32::try_from(self.opts.len()).unwrap());
+        row
+    }
+
+    /// Row `row` as the `(user, running residual)` update it feeds.
+    fn update(&self, row: u32) -> (UserId, Money) {
+        (self.users[row as usize], self.residuals[row as usize])
+    }
+
+    /// The substitute set of a listed `user`, in id order.
+    fn substitutes_of(&self, user: UserId) -> &[OptId] {
+        let row = self
+            .users
+            .binary_search(&user)
+            .expect("user is pending this slot");
+        let start = row.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.opts[start as usize..self.ends[row] as usize]
+    }
+}
+
+/// Reusable scratch of the batched multi-opt phase loop: the slot's
+/// pending-user table, per-opt update and removal buckets and a
+/// cross-slot solution cache, all allocated once and reused for every
+/// slot of the game.
 ///
 /// The whole struct is rebuildable from the solvers (empty buckets ⇒
 /// next [`BatchScratch::ensure`] marks every solver dirty ⇒ full
 /// re-solve), which is why serialization skips it: a resumed game
 /// starts with a cold cache and identical outcomes.
-/// One optimization's slot-update bucket in the same parallel-column
-/// layout as the solver and [`ResidualTracker`]: the users and their
-/// running residuals are separate contiguous vectors, drained together
-/// into the solver's batch merge.
-#[derive(Debug, Clone, Default)]
-struct OptBucket {
-    users: Vec<UserId>,
-    values: Vec<Money>,
-}
-
-impl OptBucket {
-    fn push(&mut self, user: UserId, value: Money) {
-        self.users.push(user);
-        self.values.push(value);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// Drains both columns as `(user, residual)` pairs, leaving the
-    /// allocations for the next slot.
-    fn drain(&mut self) -> impl Iterator<Item = (UserId, Money)> + '_ {
-        self.users.drain(..).zip(self.values.drain(..))
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 struct BatchScratch {
-    /// `per_opt[j]`: this slot's `(user, running residual)` updates for
-    /// optimization `j`, drained into the solver's batch merge.
-    per_opt: Vec<OptBucket>,
+    /// The pending users of this slot.
+    slot: SlotTable,
+    /// `per_opt[j]`: the [`SlotTable`] rows bidding on optimization
+    /// `j` this slot, drained into the solver's batch merge.
+    per_opt: Vec<Vec<u32>>,
+    /// `removals[j]`: users leaving solver `j` in one
+    /// [`Solver::remove_bids`] pass — bids retired at the start of a
+    /// slot, or users granted a substitute of `j` in a phase.
+    removals: Vec<Vec<UserId>>,
     /// `solutions[j]`: the cached feasible solution of solver `j`
     /// (`None` = infeasible), valid while `!dirty[j]`.
     solutions: Vec<Option<Solution>>,
@@ -111,7 +143,8 @@ impl BatchScratch {
     /// slot; after deserialization it re-marks every solver dirty).
     fn ensure(&mut self, n: usize) {
         if self.per_opt.len() != n {
-            self.per_opt.resize_with(n, OptBucket::default);
+            self.per_opt.resize_with(n, Vec::new);
+            self.removals.resize_with(n, Vec::new);
             self.solutions = vec![None; n];
             self.dirty = vec![true; n];
         }
@@ -309,37 +342,29 @@ impl SubstOnState {
 
         // Retire bids that expired last slot without being granted:
         // their residual is zero, and zero bids can never be serviced.
-        if self.now > 1 && self.engine.uses_solver() {
+        let uses_solver = self.engine.uses_solver();
+        if self.now > 1 && uses_solver {
             self.scratch.ensure(self.costs.len());
         }
         if self.now > 1 {
             if let Some(gone) = self.expiries.get(&(self.now - 1)) {
-                let uses_solver = self.engine.uses_solver();
-                let mut retired: Vec<Vec<UserId>> = if uses_solver {
-                    vec![Vec::new(); self.costs.len()]
-                } else {
-                    Vec::new()
-                };
                 for &u in gone {
                     if self.pending.remove(&u) && uses_solver {
                         for &j in &self.bids[&u].substitutes {
-                            retired[j.index() as usize].push(u);
-                            // Removing a (zero-residual) bid can never
-                            // flip an infeasible solver feasible, but
-                            // the cached solution's serviced prefix is
-                            // stale all the same — honour the dirty
-                            // contract rather than rely on that.
-                            self.scratch.dirty[j.index() as usize] = true;
+                            self.scratch.removals[j.index() as usize].push(u);
                         }
                         self.residuals.remove(u);
                     }
                 }
-                // One compaction pass per touched solver instead of
-                // O(retired · finite) per-user Vec::removes.
-                for (j, users) in retired.into_iter().enumerate() {
-                    if !users.is_empty() {
-                        self.solvers[j].remove_bids(users);
-                    }
+                if uses_solver {
+                    // Removing a (zero-residual) bid can never flip an
+                    // infeasible solver feasible, but the cached
+                    // solution's serviced prefix is stale all the same:
+                    // `drop_removals` marks every touched solver dirty.
+                    let BatchScratch {
+                        removals, dirty, ..
+                    } = &mut self.scratch;
+                    drop_removals(&mut self.solvers, removals, dirty);
                 }
             }
         }
@@ -358,24 +383,21 @@ impl SubstOnState {
         // Per-optimization share of this slot's SubstOff run, and the
         // users granted in this slot's phases. Under the solver engine
         // the fan-out reads the running residuals, the phase loop
-        // prices, and then slot `t` retires: every still-pending user's
-        // running residual drops by `value_at(t)`. (Users the phase
-        // loop granted are still tracked then; they are removed right
-        // below, value unread.)
+        // prices, the granted users leave the tracker, and then slot
+        // `t` retires: every still-pending user's running residual
+        // drops by `value_at(t)`.
         let (shares, newly_assigned): (Vec<Option<Money>>, BTreeMap<UserId, OptId>) =
             if self.engine.uses_solver() {
                 self.fan_out(t);
-                let BatchScratch {
-                    solutions, dirty, ..
-                } = &mut self.scratch;
                 let result = phase_loop(
                     self.costs.len(),
                     self.tiebreak,
                     &mut self.solvers,
-                    solutions,
-                    dirty,
-                    &self.bids,
+                    &mut self.scratch,
                 );
+                for &u in result.1.keys() {
+                    self.residuals.remove(u);
+                }
                 let bids = &self.bids;
                 self.residuals.advance(t, |u| &bids[&u].series);
                 result
@@ -387,7 +409,6 @@ impl SubstOnState {
             self.assigned.insert(u, j);
             self.first_serviced.insert(u, t);
             self.pending.remove(&u);
-            self.residuals.remove(u);
         }
         for (idx, share) in shares.iter().enumerate() {
             if share.is_some() {
@@ -421,18 +442,26 @@ impl SubstOnState {
     }
 
     /// The fan-out head of the batched per-slot SubstOff run: a single
-    /// pass over the pending users buckets each user's O(1) *running*
-    /// residual into her substitutes' update lists (buffers reused
-    /// across opts and slots — zero steady-state allocation) and
-    /// drains them into the solvers' batch merges. This is the only
+    /// pass over the pending users writes each user's O(1) *running*
+    /// residual and substitute set into the slot table and buckets her
+    /// row into her substitutes' update lists (buffers reused across
+    /// opts and slots — zero steady-state allocation), then drains the
+    /// lists into the solvers' batch merges. This is the only
     /// part of the slot's solving that reads the residual tracker.
     fn fan_out(&mut self, t: SlotId) {
         let n = self.costs.len();
         self.scratch.ensure(n);
-        let BatchScratch { per_opt, dirty, .. } = &mut self.scratch;
+        let BatchScratch {
+            slot,
+            per_opt,
+            dirty,
+            ..
+        } = &mut self.scratch;
+        slot.clear();
 
         // One touch per pending user's bid row: read the running
-        // residual, fan it out to her substitute opts' buckets.
+        // residual into her slot-table row, and fan the row out to her
+        // substitute opts' buckets.
         for &u in &self.pending {
             let bid = &self.bids[&u];
             let residual = self
@@ -440,14 +469,14 @@ impl SubstOnState {
                 .get(u)
                 .expect("pending user has a tracked residual");
             debug_assert_eq!(residual, bid.series.residual_from(t));
+            let row = slot.push(u, residual, &bid.substitutes);
             for &j in &bid.substitutes {
-                per_opt[j.index() as usize].push(u, residual);
+                per_opt[j.index() as usize].push(row);
             }
         }
-        for (jidx, (solver, updates)) in self.solvers.iter_mut().zip(per_opt.iter_mut()).enumerate()
-        {
-            if !updates.is_empty() {
-                solver.update_bids(updates.drain());
+        for (jidx, (solver, rows)) in self.solvers.iter_mut().zip(per_opt.iter_mut()).enumerate() {
+            if !rows.is_empty() {
+                solver.update_bids(rows.drain(..).map(|row| slot.update(row)));
                 dirty[jidx] = true;
             }
         }
@@ -514,17 +543,30 @@ impl SubstOnState {
 /// lost to a grant), reusing cached solutions across phases *and* slots
 /// for the rest. Replicates [`substoff::run_with_bids`] exactly —
 /// including tie-break order and RNG consumption — but grants mutate
-/// the solvers in place instead of rebuilding bid maps. Factored free
-/// of `&mut self`: it never touches the residual tracker or the slot
-/// index maps.
+/// the solvers in place instead of rebuilding bid maps.
+///
+/// The no-switch rule (`b_ij' ← 0` for every other substitute `j'`) is
+/// applied per phase, in bulk: the phase's grantees are bucketed into
+/// `removals` by substitute, and each touched solver drops its bucket
+/// in one [`Solver::remove_bids`] pass before the next phase solves. A
+/// phase therefore costs O(grantees + finite bids of the touched
+/// solvers), not one three-column memmove per grantee and substitute.
+/// A grantee's substitutes come from the fan-out's per-slot
+/// [`SlotTable`]. Factored free of `&mut self`: it never
+/// touches the bid map, the residual tracker or the slot index maps.
 fn phase_loop(
     n: usize,
     tiebreak: TieBreak,
     solvers: &mut [Solver],
-    solutions: &mut [Option<Solution>],
-    dirty: &mut [bool],
-    bids: &BTreeMap<UserId, SubstOnlineBid>,
+    scratch: &mut BatchScratch,
 ) -> (Vec<Option<Money>>, BTreeMap<UserId, OptId>) {
+    let BatchScratch {
+        slot,
+        removals,
+        solutions,
+        dirty,
+        ..
+    } = scratch;
     let mut shares: Vec<Option<Money>> = vec![None; n];
     let mut newly_assigned = BTreeMap::new();
     let mut rng = match tiebreak {
@@ -563,20 +605,34 @@ fn phase_loop(
         let j = OptId(u32::try_from(jidx).unwrap());
         shares[jidx] = Some(min_share);
 
-        let newly: Vec<UserId> = solvers[jidx].serviced_finite(&sol).to_vec();
+        for &u in solvers[jidx].serviced_finite(&sol) {
+            newly_assigned.insert(u, j);
+            // b_ij' ← 0 ∀j' ≠ j, forever: the no-switch rule.
+            for &other in slot.substitutes_of(u) {
+                if other != j {
+                    removals[other.index() as usize].push(u);
+                }
+            }
+        }
         solvers[jidx].commit_top(sol.serviced_finite);
         // The commit changed solver `jidx`; its cached solution is
         // stale for the *next* slot.
         dirty[jidx] = true;
-        for u in newly {
-            newly_assigned.insert(u, j);
-            // b_ij' ← 0 ∀j' ≠ j, forever: the no-switch rule.
-            for &other in &bids[&u].substitutes {
-                if other != j {
-                    solvers[other.index() as usize].remove(u);
-                    dirty[other.index() as usize] = true;
-                }
-            }
+        drop_removals(solvers, removals, dirty);
+    }
+}
+
+/// Drains every non-empty `removals[j]` into one
+/// [`Solver::remove_bids`] pass on solver `j` and marks it dirty. Every
+/// listed user is pending, and pending users bid on each of their
+/// substitutes every slot, so each one must still hold a finite bid.
+fn drop_removals(solvers: &mut [Solver], removals: &mut [Vec<UserId>], dirty: &mut [bool]) {
+    for (jidx, users) in removals.iter_mut().enumerate() {
+        if !users.is_empty() {
+            let listed = users.len();
+            let removed = solvers[jidx].remove_bids(users.drain(..));
+            debug_assert_eq!(removed, listed, "removed a user without a finite bid");
+            dirty[jidx] = true;
         }
     }
 }
